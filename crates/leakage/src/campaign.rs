@@ -207,7 +207,7 @@ impl<'a> FixedVsRandom<'a> {
     ///   version-mismatched, taken under a different configuration, or
     ///   unwritable.
     /// * [`CampaignError::Worker`] — a batch exhausted the supervisor's
-    ///   quarantine-and-retry budget (see [`crate::supervisor`]).
+    ///   retry budget (see [`crate::supervisor`]).
     pub fn try_run(&self) -> Result<LeakageReport, CampaignError> {
         self.try_run_impl(false).map(|(report, _)| report)
     }

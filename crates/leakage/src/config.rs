@@ -122,7 +122,7 @@ pub struct EvaluationConfig {
     /// fluctuation). Requires `checkpoints > 0` to have any effect.
     pub early_stop: bool,
     /// Worker threads batches are sharded across (0 and 1 both mean
-    /// in-place single-threaded). Because every batch's randomness is a
+    /// inline single-threaded). Because every batch's randomness is a
     /// pure function of `(seed, batch)` and the coordinator folds
     /// completed batches in strict batch order, the report, the
     /// trajectories and the snapshots are **byte-identical** for every

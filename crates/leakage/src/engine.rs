@@ -3,22 +3,21 @@
 //! A campaign is a pipeline of stages —
 //!
 //! ```text
-//! batch source → simulate → tabulate → fold → checkpoint/health/snapshot
+//! batch source → simulate → pack lanes → fold → checkpoint/health/snapshot
 //! ```
 //!
-//! — and the engine runs that pipeline under one of two
-//! [`FoldProtocol`]s. **Ordered** folding moves per-batch observation
-//! runs across a channel and absorbs them in strict batch order (the
-//! hashed tabulator needs this: which keys win the last table slots
-//! under `max_table_keys` depends on insertion order). **Commutative**
-//! folding lets workers absorb into thread-local dense shards and
-//! merges them once per checkpoint window (a dense table can never
-//! overflow its cap, so its counts are plain integer sums and fold
-//! order is irrelevant). Both protocols funnel every frontier advance
-//! through [`Engine::after_batch`] — the single checkpoint / health /
-//! snapshot / early-stop / interrupt decision point — which is what
-//! makes reports, trajectories and snapshots byte-identical across
-//! protocols, thread counts, evaluators and tabulators.
+//! — with one fold path. [`Engine::run_batch`] simulates a batch and
+//! packs each probing set's 64 lane observations into a reused
+//! [`Observations`] buffer; [`Engine::fold_batch`] absorbs them into the
+//! live tables with [`Table::absorb`], strictly in batch order, and
+//! hands the frontier advance to [`Engine::after_batch`] — the single
+//! checkpoint / health / snapshot / early-stop / interrupt decision
+//! point. Two drivers feed that fold: inline on the calling thread,
+//! or a supervised worker pool whose reorder buffer restores batch
+//! order. Because the fold sees the same batches in the same order
+//! either way, reports, trajectories and snapshots are byte-identical
+//! across thread counts, evaluators and tabulators — including which
+//! keys win the last slots of a capped hashed table.
 //!
 //! Supervision (panic boundaries, bounded retries, rebuilt simulators,
 //! heartbeat watchdogs, degraded-sink snapshots) is integrated here
@@ -44,8 +43,8 @@ use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
 use crate::snapshot::{self, CampaignSnapshot, TableSnapshot};
 use crate::stats::pooling_summary;
-use crate::supervisor::{self, RetryQueue};
-use crate::tabulate::{Table, TabulatorMode};
+use crate::supervisor;
+use crate::tabulate::{Lanes, Table, TabulatorMode};
 
 /// Probing sets carried per checkpoint event: the top sets by running
 /// `-log10(p)` plus every set over the threshold.
@@ -54,36 +53,9 @@ pub(crate) const CHECKPOINT_TOP_PROBES: usize = 8;
 /// Refill granularity of [`BufferedRng`], in `u64` words.
 const RNG_BLOCK: usize = 256;
 
-/// Watchdog granularity of the sharded coordinator: how often it wakes
+/// Watchdog granularity of the pool coordinator: how often it wakes
 /// from `recv` to scan heartbeats and check for a fatal worker verdict.
 const WATCHDOG_TICK_MS: u64 = 100;
-
-/// Batches per claim in the dense windowed protocol: workers take
-/// multi-batch chunks from the shared counter to amortize claim
-/// contention. Chunk size cannot perturb results — absorption into
-/// thread-local dense tables is commutative — so this is purely a
-/// throughput knob.
-const DENSE_CHUNK: u64 = 4;
-
-/// How completed batches reach the campaign's tables.
-///
-/// Selected per campaign from the table stores actually in play (see
-/// [`Engine::run`]): the hashed reference store can overflow its key
-/// cap, making absorption order-sensitive, so it requires `Ordered`;
-/// an all-dense campaign (the [`TabulatorMode::Dense`] fast path when
-/// every probing set's key space fits the cap) upgrades to
-/// `Commutative`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FoldProtocol {
-    /// Batch outcomes cross a channel and fold in strict batch order
-    /// through a reorder buffer — the general protocol, correct for
-    /// every table store.
-    Ordered,
-    /// Workers absorb into thread-local dense shards; shards merge at
-    /// checkpoint-window boundaries, where the frontier state is
-    /// bit-identical to the ordered fold's at the same batch.
-    Commutative,
-}
 
 /// Derives the RNG for one batch from the campaign seed and the batch
 /// index (a splitmix64-style mix). Making every batch's randomness a
@@ -138,9 +110,8 @@ impl RngCore for BufferedRng {
 
 /// Builds the contingency table for one probing set under the
 /// configured [`TabulatorMode`]: a dense direct-indexed table when the
-/// set's full key space fits the cap (it then cannot overflow, which is
-/// what makes dense absorption commutative), the hashed reference
-/// otherwise.
+/// set's full key space fits the cap (it then cannot overflow), the
+/// hashed reference otherwise.
 pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
     match config.tabulator {
         TabulatorMode::Dense => set
@@ -187,17 +158,70 @@ pub(crate) fn build_snapshot(
     }
 }
 
-/// One completed batch: per-probing-set `(key, [fixed, random])` runs
-/// sorted by key, plus the simulator work the batch cost.
+/// Where one probing set's packed lanes live in [`Observations`].
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Position in [`Observations::indices`].
+    Index(usize),
+    /// Position in [`Observations::keys`].
+    Key(usize),
+}
+
+/// One batch's packed lane observations, one slot per probing set:
+/// `u32` indices for sets observing at most
+/// [`MAX_DENSE_WIDTH`](crate::tabulate::MAX_DENSE_WIDTH) bits, `u128`
+/// keys for wider ones. Allocated once per driver (or per in-flight
+/// batch in the pool) and rewritten whole by every batch attempt.
+pub(crate) struct Observations {
+    slots: Vec<Slot>,
+    indices: Vec<[u32; LANES]>,
+    keys: Vec<[u128; LANES]>,
+}
+
+impl Observations {
+    fn new(probe_sets: &[ProbeSet], model: ProbeModel) -> Self {
+        let mut indices = 0;
+        let mut keys = 0;
+        let slots: Vec<Slot> = probe_sets
+            .iter()
+            .map(|set| {
+                if set.observation_bits(model) <= crate::tabulate::MAX_DENSE_WIDTH {
+                    indices += 1;
+                    Slot::Index(indices - 1)
+                } else {
+                    keys += 1;
+                    Slot::Key(keys - 1)
+                }
+            })
+            .collect();
+        Observations {
+            slots,
+            indices: vec![[0; LANES]; indices],
+            keys: vec![[0; LANES]; keys],
+        }
+    }
+
+    /// Probing set `set`'s lanes, as [`Table::absorb`] takes them.
+    fn lanes(&self, set: usize) -> Lanes<'_> {
+        match self.slots[set] {
+            Slot::Index(slot) => Lanes::Indices(&self.indices[slot]),
+            Slot::Key(slot) => Lanes::Keys(&self.keys[slot]),
+        }
+    }
+}
+
+/// One completed batch: its packed observations, the lane → population
+/// mask, and the simulator work it cost.
 pub(crate) struct BatchOutcome {
     batch: u64,
-    counts: Vec<Vec<(u128, [u64; 2])>>,
+    lane_groups: u64,
     stats: SimStats,
+    observations: Observations,
 }
 
 /// The coordinator-side campaign state. Only the fold stage mutates it,
 /// and only at batch-frontier advances — which is the whole determinism
-/// argument: any producer (the in-place loop or a worker pool) that
+/// argument: any producer (the inline driver or the worker pool) that
 /// advances the frontier through the same states yields the same bytes.
 /// A side effect worth naming: `batches_done` is always a contiguous
 /// frontier, so every snapshot records exactly the batches
@@ -256,23 +280,35 @@ pub(crate) struct FoldContext<'a> {
     pub(crate) fresh_bits_per_trace: u64,
 }
 
-/// Runs one batch under supervision, retrying in place: a faulted
-/// attempt (contained panic — injected or real) rebuilds the simulator
-/// and retries after bounded backoff, up to
-/// [`supervisor::MAX_ATTEMPTS`] total attempts. Because the outcome is
-/// a pure function of `(seed, batch)`, a successful retry is
-/// indistinguishable from a fault-free first attempt.
+/// Runs one batch under supervision, retrying in place — the one retry
+/// helper both drivers use. A faulted attempt (contained panic —
+/// injected or real) rebuilds the simulator and retries after bounded
+/// backoff, up to [`supervisor::MAX_ATTEMPTS`] total attempts. Every
+/// attempt rewrites `observations` whole, and the outcome is a pure
+/// function of `(seed, batch)`, so a successful retry is
+/// indistinguishable from a fault-free first attempt and a torn
+/// attempt can never half-count a batch.
 fn run_batch_supervised<'a>(
     engine: &Engine<'a>,
     sim: &mut Simulator<'a>,
     batch: u64,
     perf: &PerfRecorder,
+    mut observations: Observations,
 ) -> Result<BatchOutcome, CampaignError> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match supervisor::supervised(batch, || engine.run_batch(sim, batch, perf)) {
-            Ok(outcome) => return Ok(outcome),
+        match supervisor::supervised(batch, || {
+            engine.run_batch(sim, batch, perf, &mut observations)
+        }) {
+            Ok((lane_groups, stats)) => {
+                return Ok(BatchOutcome {
+                    batch,
+                    lane_groups,
+                    stats,
+                    observations,
+                })
+            }
             Err(fault) => {
                 if attempts >= supervisor::MAX_ATTEMPTS {
                     return Err(CampaignError::Worker {
@@ -283,39 +319,6 @@ fn run_batch_supervised<'a>(
                 }
                 // The panicked attempt may have torn the simulator
                 // mid-step; rebuild it rather than trust its state.
-                *sim = Simulator::with_evaluator(engine.netlist, engine.config.evaluator);
-                std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
-            }
-        }
-    }
-}
-
-/// [`run_batch_supervised`] for the dense fast path: same retry budget,
-/// same rebuilt-simulator policy, but the outcome is the per-set index
-/// scratch (rewritten whole on every attempt) plus the batch's
-/// `(lane_groups, stats)` — nothing is committed to live tables here.
-fn run_batch_dense_supervised<'a>(
-    engine: &Engine<'a>,
-    sim: &mut Simulator<'a>,
-    batch: u64,
-    perf: &PerfRecorder,
-    indices: &mut [[u32; LANES]],
-) -> Result<(u64, SimStats), CampaignError> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match supervisor::supervised(batch, || {
-            engine.run_batch_dense(sim, batch, perf, &mut *indices)
-        }) {
-            Ok(outcome) => return Ok(outcome),
-            Err(fault) => {
-                if attempts >= supervisor::MAX_ATTEMPTS {
-                    return Err(CampaignError::Worker {
-                        batch,
-                        attempts,
-                        message: fault.to_string(),
-                    });
-                }
                 *sim = Simulator::with_evaluator(engine.netlist, engine.config.evaluator);
                 std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
             }
@@ -343,16 +346,12 @@ pub(crate) struct Engine<'a> {
 
 impl Engine<'_> {
     /// Runs the sampling pipeline from `state.batches_done` to
-    /// `context.batches` (or an early stop / interrupt / fatal fault).
-    ///
-    /// Dispatches on the execution shape: in-place (one simulator on
-    /// the calling thread) versus sharded (a supervised worker pool),
-    /// crossed with the [`FoldProtocol`] the table stores license —
-    /// `Commutative` when every table is dense, `Ordered` otherwise
-    /// (checked after resume, because restoring a foreign snapshot can
-    /// downgrade a table to the hashed store). All four paths drive the
-    /// same stages and funnel every frontier advance through
-    /// [`Engine::after_batch`], so their outputs are byte-identical.
+    /// `context.batches` (or an early stop / interrupt / fatal fault):
+    /// inline on the calling thread when `threads == 1`, on a
+    /// supervised worker pool otherwise. Both drivers run
+    /// [`Engine::run_batch`] under the same retry helper and fold
+    /// through [`Engine::fold_batch`] in batch order, so their outputs
+    /// are byte-identical.
     pub(crate) fn run(
         &self,
         context: &FoldContext<'_>,
@@ -361,24 +360,26 @@ impl Engine<'_> {
         if state.batches_done >= context.batches {
             return Ok(());
         }
-        let threads = self.config.threads.max(1);
-        let protocol = if state.tables.iter().all(Table::is_dense) {
-            FoldProtocol::Commutative
-        } else {
-            FoldProtocol::Ordered
-        };
-        match (protocol, threads) {
-            (FoldProtocol::Commutative, 1) => self.run_in_place_dense(context, state),
-            (FoldProtocol::Ordered, 1) => self.run_in_place(context, state),
-            (FoldProtocol::Commutative, threads) => self.run_sharded_dense(context, state, threads),
-            (FoldProtocol::Ordered, threads) => self.run_sharded(context, state, threads),
+        match self.config.threads.max(1) {
+            1 => self.run_inline(context, state),
+            threads => self.run_pool(context, state, threads),
         }
     }
 
-    /// Simulates one batch on `sim` and aggregates its observations.
-    /// A pure function of `(seed, batch)` — which simulator runs it,
-    /// on which thread, in which order, cannot change the outcome.
-    fn run_batch(&self, sim: &mut Simulator, batch: u64, perf: &PerfRecorder) -> BatchOutcome {
+    /// Simulates one batch on `sim` and packs every probing set's lane
+    /// observations into `observations`, returning the batch's lane →
+    /// population mask and simulator work. A pure function of
+    /// `(seed, batch)` — which simulator runs it, on which thread, in
+    /// which order, cannot change the outcome. Nothing is committed to
+    /// live tables here: a faulted attempt leaves no trace once its
+    /// retry rewrites the buffer.
+    fn run_batch(
+        &self,
+        sim: &mut Simulator,
+        batch: u64,
+        perf: &PerfRecorder,
+        observations: &mut Observations,
+    ) -> (u64, SimStats) {
         let config = self.config;
         // Each batch derives its own RNG from (seed, batch), so the
         // trace stream is position-addressable: resume is exact and
@@ -400,82 +401,19 @@ impl Engine<'_> {
                 }
             }
         }
-        // Observation: one sample per lane per probing set, aggregated
-        // into key-sorted runs. The sort makes the batch's contribution
-        // canonical, so table insertion order (and thus which keys win
-        // the last slots under `max_table_keys`) depends only on the
-        // batch sequence — the overflow-determinism half of the
-        // byte-identity guarantee.
         let _span = perf.span("tabulate");
-        let counts = self
-            .probe_sets
-            .iter()
-            .map(|set| {
-                let keys = observation_keys(sim, set, config.model);
-                let mut samples = [(0u128, 0usize); LANES];
-                for (lane, slot) in samples.iter_mut().enumerate() {
-                    *slot = (keys[lane], ((lane_groups >> lane) & 1) as usize);
+        let Observations {
+            slots,
+            indices,
+            keys,
+        } = observations;
+        for (set, slot) in self.probe_sets.iter().zip(slots.iter()) {
+            match *slot {
+                Slot::Index(slot) => {
+                    observation_indices(sim, set, config.model, &mut indices[slot])
                 }
-                samples.sort_unstable_by_key(|&(key, _)| key);
-                let mut runs: Vec<(u128, [u64; 2])> = Vec::new();
-                for (key, group) in samples {
-                    match runs.last_mut() {
-                        Some((last, cell)) if *last == key => cell[group] += 1,
-                        _ => {
-                            let mut cell = [0u64; 2];
-                            cell[group] = 1;
-                            runs.push((key, cell));
-                        }
-                    }
-                }
-                runs
-            })
-            .collect();
-        BatchOutcome {
-            batch,
-            counts,
-            stats: sim.counters().delta_since(before),
-        }
-    }
-
-    /// Simulates one batch and extracts per-probing-set packed indices
-    /// into the caller's scratch — the dense fast path. Identical
-    /// simulation to [`Engine::run_batch`], but the tabulation side
-    /// does no sorting, no run-length encoding and no allocation: each
-    /// set's 64 lane observations become 64 `u32` indices (bit-for-bit
-    /// the zero-extended `u128` keys, see [`observation_indices`]) for
-    /// the caller to commit with [`Table::absorb_indices`]. Extraction
-    /// is the fallible phase and runs inside the supervisor's panic
-    /// boundary; the commit into live tables happens outside it, only
-    /// after the whole batch succeeded — a retried attempt rewrites the
-    /// scratch completely, so a torn attempt can never half-count a
-    /// batch.
-    fn run_batch_dense(
-        &self,
-        sim: &mut Simulator,
-        batch: u64,
-        perf: &PerfRecorder,
-        indices: &mut [[u32; LANES]],
-    ) -> (u64, SimStats) {
-        let config = self.config;
-        let mut rng = BufferedRng::new(batch_rng(config.seed, batch));
-        let lane_groups: u64 = rng.gen();
-        let before = sim.counters();
-        sim.reset();
-        {
-            let _span = perf.span("simulate");
-            for cycle in 0..=config.warmup_cycles {
-                self.drive_cycle(sim, cycle, lane_groups, &mut rng);
-                if cycle < config.warmup_cycles {
-                    sim.step();
-                } else {
-                    sim.eval();
-                }
+                Slot::Key(slot) => observation_keys(sim, set, config.model, &mut keys[slot]),
             }
-        }
-        let _span = perf.span("tabulate");
-        for (set, slot) in self.probe_sets.iter().zip(indices.iter_mut()) {
-            observation_indices(sim, set, config.model, slot);
         }
         (lane_groups, sim.counters().delta_since(before))
     }
@@ -549,31 +487,29 @@ impl Engine<'_> {
         }
     }
 
-    /// Folds one completed batch into the campaign state: contingency
-    /// tables first, then (on checkpoint boundaries) the running
-    /// statistic sweep, events, snapshot and early-stop decision, then
-    /// the cooperative-interrupt check. Batches MUST be folded in
-    /// strictly increasing batch order — that invariant (not any
-    /// property of the producers) is what makes multi-threaded
-    /// campaigns byte-identical to single-threaded ones. Returns `true`
-    /// when the campaign should stop before `context.batches` (early
-    /// stop or interrupt). Infallible: a checkpoint snapshot that
-    /// exhausts its retry budget degrades (recorded in the registry,
-    /// later interim saves skipped) rather than aborting a healthy
-    /// campaign.
+    /// Folds one completed batch into the campaign state: its lanes
+    /// into the contingency tables, then [`Engine::after_batch`].
+    /// Batches MUST be folded in strictly increasing batch order — that
+    /// invariant (not any property of the producers) is what makes
+    /// multi-threaded campaigns byte-identical to single-threaded ones,
+    /// overflowing hashed tables included. Returns `true` when the
+    /// campaign should stop before `context.batches` (early stop or
+    /// interrupt).
     fn fold_batch(
         &self,
         context: &FoldContext<'_>,
         state: &mut CampaignState,
-        outcome: BatchOutcome,
+        outcome: &BatchOutcome,
     ) -> bool {
-        let config = self.config;
-        let perf = context.perf;
         debug_assert_eq!(outcome.batch, state.batches_done, "fold order violated");
         {
-            let _span = perf.span("merge");
-            for (runs, table) in outcome.counts.iter().zip(&mut state.tables) {
-                table.absorb_runs(runs, config.max_table_keys);
+            let _span = context.perf.span("merge");
+            for (set, table) in state.tables.iter_mut().enumerate() {
+                table.absorb(
+                    outcome.observations.lanes(set),
+                    outcome.lane_groups,
+                    self.config.max_table_keys,
+                );
             }
         }
         state.folded.cycles += outcome.stats.cycles;
@@ -585,13 +521,11 @@ impl Engine<'_> {
     /// Everything a batch-frontier advance triggers besides absorption:
     /// the interim checkpoint (running statistic sweep, events,
     /// snapshot, early-stop decision) and the cooperative-interrupt
-    /// check, purely as a function of `state.batches_done`. Shared
-    /// verbatim by the batch-ordered fold and the dense windowed
-    /// protocol (whose window boundaries coincide exactly with
-    /// checkpoint multiples), which is what keeps checkpoints,
-    /// trajectories, early stops and interrupt frontiers byte-identical
-    /// between them. Returns `true` when the campaign should stop
-    /// before `context.batches`.
+    /// check, purely as a function of `state.batches_done`. Infallible:
+    /// a checkpoint snapshot that exhausts its retry budget degrades
+    /// (recorded in the registry, later interim saves skipped) rather
+    /// than aborting a healthy campaign. Returns `true` when the
+    /// campaign should stop before `context.batches`.
     fn after_batch(&self, context: &FoldContext<'_>, state: &mut CampaignState) -> bool {
         let config = self.config;
         let perf = context.perf;
@@ -747,86 +681,50 @@ impl Engine<'_> {
         false
     }
 
-    /// In-place single-threaded ordered fold: one simulator, fold as we
-    /// go. Faulted batches are retried in place on a rebuilt simulator
-    /// (same supervision budget as the pool).
-    fn run_in_place(
+    /// The inline driver: one simulator and one observation buffer on
+    /// the calling thread, each batch folded as soon as it completes.
+    fn run_inline(
         &self,
         context: &FoldContext<'_>,
         state: &mut CampaignState,
     ) -> Result<(), CampaignError> {
         let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
+        let mut observations = Observations::new(self.probe_sets, self.config.model);
         for batch in state.batches_done..context.batches {
-            match run_batch_supervised(self, &mut sim, batch, context.perf) {
-                Ok(outcome) => {
-                    if self.fold_batch(context, state, outcome) {
-                        break;
-                    }
-                }
-                Err(error) => return Err(error),
-            }
-        }
-        Ok(())
-    }
-
-    /// The single-threaded dense fast path: one simulator, per-set
-    /// `u32` index scratch reused across batches, observations absorbed
-    /// straight into the live tables — no hashing, no sorting, no
-    /// per-batch allocation. Extraction (the fallible phase) runs under
-    /// supervision; the commit happens only after the whole batch
-    /// succeeded, so retried batches count exactly once.
-    fn run_in_place_dense(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-    ) -> Result<(), CampaignError> {
-        let perf = context.perf;
-        let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
-        let mut indices = vec![[0u32; LANES]; context.probe_sets.len()];
-        for batch in state.batches_done..context.batches {
-            let (lane_groups, stats) =
-                run_batch_dense_supervised(self, &mut sim, batch, perf, &mut indices)?;
-            {
-                let _span = perf.span("tabulate");
-                for (slot, table) in indices.iter().zip(&mut state.tables) {
-                    table.absorb_indices(slot, lane_groups);
-                }
-            }
-            state.folded.cycles += stats.cycles;
-            state.folded.cell_evals += stats.cell_evals;
-            state.batches_done += 1;
-            if self.after_batch(context, state) {
+            let outcome = run_batch_supervised(self, &mut sim, batch, context.perf, observations)?;
+            let stop = self.fold_batch(context, state, &outcome);
+            observations = outcome.observations;
+            if stop {
                 break;
             }
         }
         Ok(())
     }
 
-    /// Shards batches across a supervised worker pool under the ordered
-    /// fold protocol. Workers claim batch indices from a shared atomic
-    /// counter (quarantined retries first) and each own a private
-    /// [`Simulator`]; the coordinator (this thread) reorders completed
-    /// batches through a `BTreeMap` buffer and folds them in strict
-    /// batch order, so the result is byte-identical to the in-place
-    /// single-threaded loop.
+    /// The pool driver: workers claim batch indices from a shared
+    /// atomic counter, each with a private [`Simulator`], and run them
+    /// under [`run_batch_supervised`]; the coordinator (this thread)
+    /// reorders completed batches through a `BTreeMap` buffer and folds
+    /// them in strict batch order, so the result is byte-identical to
+    /// the inline driver. Folded observation buffers go back to the
+    /// workers for reuse.
     ///
-    /// Fault containment (see [`crate::supervisor`]): every batch
-    /// attempt runs inside a panic boundary. A faulted batch is pushed
-    /// onto a shared retry queue — the next free (healthy) worker
-    /// rebuilds its simulator, backs off briefly and re-runs it; a
-    /// panicked attempt delivers no outcome, so the fold sees each
-    /// batch exactly once and reports stay byte-identical under
-    /// injected faults. A batch that exhausts
+    /// Fault containment (see [`crate::supervisor`]): a panicked
+    /// attempt delivers no outcome and is retried in place, so the fold
+    /// sees each batch exactly once and reports stay byte-identical
+    /// under injected faults. A batch that exhausts
     /// [`supervisor::MAX_ATTEMPTS`] is fatal: the pool stops and the
-    /// campaign returns [`CampaignError::Worker`]. The coordinator
-    /// doubles as a heartbeat watchdog, flagging shards whose in-flight
-    /// batch is overdue into the degraded registry (advisory only —
-    /// wall-clock diagnostics never reach the report).
+    /// campaign returns [`CampaignError::Worker`] with the state at the
+    /// last folded batch — a contiguous prefix, so the emergency
+    /// snapshot stays valid. The coordinator doubles as a heartbeat
+    /// watchdog, flagging workers whose in-flight batch is overdue into
+    /// the degraded registry (advisory only — wall-clock diagnostics
+    /// never reach the report).
     ///
     /// Each worker records perf into its own recorder, merged into the
     /// campaign recorder at join (per-phase totals then sum CPU time
     /// across workers, which can exceed wall time).
-    fn run_sharded(
+    fn run_pool(
         &self,
         context: &FoldContext<'_>,
         state: &mut CampaignState,
@@ -834,14 +732,15 @@ impl Engine<'_> {
     ) -> Result<(), CampaignError> {
         let next_batch = AtomicU64::new(state.batches_done);
         let stop = AtomicBool::new(false);
-        let retry_queue = RetryQueue::new();
         let heartbeats = supervisor::Heartbeats::new(threads);
         let stall_timeout_ms = supervisor::stall_timeout_ms();
         // First fatal worker verdict wins; later ones are dropped.
         let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
+        let spare: Mutex<Vec<Observations>> = Mutex::new(Vec::new());
         // Bounded channel: backpressure keeps the reorder buffer (and
-        // per-worker memory) proportional to the thread count even when
-        // one batch folds slowly (e.g. a checkpoint snapshot).
+        // the observation buffers in flight) proportional to the thread
+        // count even when one batch folds slowly (e.g. a checkpoint
+        // snapshot).
         let (sender, receiver) = mpsc::sync_channel::<BatchOutcome>(threads * 2);
         let perf_enabled = context.perf.is_enabled();
         let mut result = Ok(());
@@ -851,9 +750,9 @@ impl Engine<'_> {
                     let sender = sender.clone();
                     let next_batch = &next_batch;
                     let stop = &stop;
-                    let retry_queue = &retry_queue;
                     let heartbeats = &heartbeats;
                     let fatal = &fatal;
+                    let spare = &spare;
                     scope.spawn(move || {
                         let worker_perf = if perf_enabled {
                             PerfRecorder::enabled()
@@ -863,28 +762,21 @@ impl Engine<'_> {
                         let mut sim =
                             Simulator::with_evaluator(self.netlist, self.config.evaluator);
                         while !stop.load(Ordering::Acquire) {
-                            // Quarantined batches first: a faulted batch
-                            // must not languish behind the claim
-                            // frontier (the fold is blocked on it).
-                            let (batch, prior_attempts) = match retry_queue.pop() {
-                                Some(claim) => (claim.batch, claim.attempts),
-                                None => {
-                                    let batch = next_batch.fetch_add(1, Ordering::Relaxed);
-                                    if batch >= context.batches {
-                                        break;
-                                    }
-                                    (batch, 0)
-                                }
-                            };
-                            if prior_attempts > 0 {
-                                std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(
-                                    prior_attempts,
-                                )));
+                            let batch = next_batch.fetch_add(1, Ordering::Relaxed);
+                            if batch >= context.batches {
+                                break;
                             }
-                            heartbeats.start(worker, batch);
-                            let attempt = supervisor::supervised(batch, || {
-                                self.run_batch(&mut sim, batch, &worker_perf)
+                            let observations = lock(spare).pop().unwrap_or_else(|| {
+                                Observations::new(self.probe_sets, self.config.model)
                             });
+                            heartbeats.start(worker, batch);
+                            let attempt = run_batch_supervised(
+                                self,
+                                &mut sim,
+                                batch,
+                                &worker_perf,
+                                observations,
+                            );
                             heartbeats.idle(worker);
                             match attempt {
                                 // A closed channel means the coordinator
@@ -894,28 +786,10 @@ impl Engine<'_> {
                                         break;
                                     }
                                 }
-                                Err(fault) => {
-                                    // The panicked attempt may have torn
-                                    // the simulator mid-step; rebuild it
-                                    // rather than trust its state.
-                                    sim = Simulator::with_evaluator(
-                                        self.netlist,
-                                        self.config.evaluator,
-                                    );
-                                    let attempts = prior_attempts + 1;
-                                    if attempts >= supervisor::MAX_ATTEMPTS {
-                                        let mut slot = fatal
-                                            .lock()
-                                            .unwrap_or_else(|poison| poison.into_inner());
-                                        slot.get_or_insert(CampaignError::Worker {
-                                            batch,
-                                            attempts,
-                                            message: fault.to_string(),
-                                        });
-                                        stop.store(true, Ordering::Release);
-                                        break;
-                                    }
-                                    retry_queue.push(batch, attempts);
+                                Err(error) => {
+                                    lock(fatal).get_or_insert(error);
+                                    stop.store(true, Ordering::Release);
+                                    break;
                                 }
                             }
                         }
@@ -946,8 +820,7 @@ impl Engine<'_> {
                                 );
                             }
                         }
-                        let poisoned = fatal.lock().unwrap_or_else(|poison| poison.into_inner());
-                        if poisoned.is_some() {
+                        if lock(&fatal).is_some() {
                             break;
                         }
                         continue;
@@ -956,7 +829,9 @@ impl Engine<'_> {
                 };
                 pending.insert(outcome.batch, outcome);
                 while let Some(outcome) = pending.remove(&state.batches_done) {
-                    if self.fold_batch(context, state, outcome) {
+                    let stop = self.fold_batch(context, state, &outcome);
+                    lock(&spare).push(outcome.observations);
+                    if stop {
                         break 'fold;
                     }
                 }
@@ -973,248 +848,29 @@ impl Engine<'_> {
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-            if let Some(error) = fatal
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .take()
-            {
+            if let Some(error) = lock(&fatal).take() {
                 result = Err(error);
             }
         });
         result
     }
-
-    /// Shards batches across workers with **thread-local dense tables**
-    /// and a commutative once-per-window merge — the protocol dense
-    /// absorption licenses (see [`crate::tabulate`]): a dense table can
-    /// never overflow its cap, so its counts are plain integer sums and
-    /// fold order is irrelevant. Workers claim [`DENSE_CHUNK`]-batch
-    /// chunks from an atomic counter and absorb each batch into their
-    /// own shard; nothing crosses a channel per batch, eliminating the
-    /// steady-state `merge` phase and the reorder buffer entirely.
-    ///
-    /// Byte-identity is preserved by *windowing*: the claim frontier
-    /// runs only to the next checkpoint boundary (`checkpoint_every`
-    /// multiple, `stop_after_batches` cap, or the end), the coordinator
-    /// folds every shard exactly there, and [`Engine::after_batch`]
-    /// then sees the same `batches_done` — and bit-identical tables,
-    /// since integer addition is associative — as the single-threaded
-    /// loop does at that batch. Checkpoints, trajectories, snapshots,
-    /// early stops and deterministic interrupts land on identical
-    /// bytes.
-    ///
-    /// Fault containment: each batch retries in place under the
-    /// supervisor's budget (rebuilt simulator, bounded backoff), like
-    /// the single-threaded loop. A batch that exhausts its budget is
-    /// fatal: the window's shard tables are **discarded unmerged**
-    /// (workers stop mid-window, so their union is not a contiguous
-    /// batch range) and the campaign state remains at the last window
-    /// boundary — still contiguous, so the emergency snapshot stays
-    /// valid. The coordinator doubles as the heartbeat watchdog,
-    /// flagging overdue shards into the degraded registry (advisory).
-    fn run_sharded_dense(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-        threads: usize,
-    ) -> Result<(), CampaignError> {
-        let config = self.config;
-        let perf_enabled = context.perf.is_enabled();
-        let heartbeats = supervisor::Heartbeats::new(threads);
-        let stall_timeout_ms = supervisor::stall_timeout_ms();
-        let mut flagged_stall = vec![false; threads];
-        let interrupt = &config.durability.interrupt;
-        // Hoisted across windows: simulators (lowering is one-time
-        // work), per-worker shard tables (drained by each window's
-        // merge) and per-worker perf recorders (absorbed once at exit).
-        let mut sims: Vec<Simulator> = (0..threads)
-            .map(|_| Simulator::with_evaluator(self.netlist, config.evaluator))
-            .collect();
-        let mut shards: Vec<Vec<Table>> = (0..threads)
-            .map(|_| {
-                context
-                    .probe_sets
-                    .iter()
-                    .map(|set| make_table(set, config))
-                    .collect()
-            })
-            .collect();
-        let worker_perfs: Vec<PerfRecorder> = (0..threads)
-            .map(|_| {
-                if perf_enabled {
-                    PerfRecorder::enabled()
-                } else {
-                    PerfRecorder::disabled()
-                }
-            })
-            .collect();
-        let mut result = Ok(());
-        while state.batches_done < context.batches {
-            let window_start = state.batches_done;
-            // The window runs to the next single-thread decision point:
-            // checkpoint multiple, deterministic batch cap, or the end.
-            // (`cap.max(window_start + 1)` reproduces the single-thread
-            // loop, which always folds one more batch before noticing
-            // the cap when resumed at or past it.)
-            let mut window_end = match window_start.checked_div(context.checkpoint_every) {
-                Some(windows_done) => {
-                    ((windows_done + 1) * context.checkpoint_every).min(context.batches)
-                }
-                None => context.batches,
-            };
-            if let Some(cap) = config.durability.stop_after_batches {
-                window_end = window_end.min(cap.max(window_start + 1));
-            }
-            let next_batch = AtomicU64::new(window_start);
-            let stop = AtomicBool::new(false);
-            let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
-            // Workers report their window's SimStats exactly once at
-            // exit; the channel doubles as the coordinator's completion
-            // wake-up between watchdog ticks.
-            let (sender, receiver) = mpsc::channel::<SimStats>();
-            let mut window_stats = SimStats::default();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sims
-                    .iter_mut()
-                    .zip(shards.iter_mut())
-                    .zip(worker_perfs.iter())
-                    .enumerate()
-                    .map(|(worker, ((sim, shard), worker_perf))| {
-                        let sender = sender.clone();
-                        let next_batch = &next_batch;
-                        let stop = &stop;
-                        let fatal = &fatal;
-                        let heartbeats = &heartbeats;
-                        scope.spawn(move || {
-                            let mut indices = vec![[0u32; LANES]; shard.len()];
-                            let mut local = SimStats::default();
-                            'claim: while !stop.load(Ordering::Acquire) {
-                                let chunk = next_batch.fetch_add(DENSE_CHUNK, Ordering::Relaxed);
-                                if chunk >= window_end {
-                                    break;
-                                }
-                                // A claimed chunk always completes (or
-                                // turns fatal), so the absorbed batches
-                                // are exactly the contiguous range below
-                                // the claim frontier.
-                                for batch in chunk..(chunk + DENSE_CHUNK).min(window_end) {
-                                    heartbeats.start(worker, batch);
-                                    let attempt = run_batch_dense_supervised(
-                                        self,
-                                        sim,
-                                        batch,
-                                        worker_perf,
-                                        &mut indices,
-                                    );
-                                    heartbeats.idle(worker);
-                                    match attempt {
-                                        Ok((lane_groups, stats)) => {
-                                            let _span = worker_perf.span("tabulate");
-                                            for (slot, table) in
-                                                indices.iter().zip(shard.iter_mut())
-                                            {
-                                                table.absorb_indices(slot, lane_groups);
-                                            }
-                                            local.cycles += stats.cycles;
-                                            local.cell_evals += stats.cell_evals;
-                                        }
-                                        Err(error) => {
-                                            fatal
-                                                .lock()
-                                                .unwrap_or_else(|poison| poison.into_inner())
-                                                .get_or_insert(error);
-                                            stop.store(true, Ordering::Release);
-                                            break 'claim;
-                                        }
-                                    }
-                                }
-                                if interrupt
-                                    .as_ref()
-                                    .is_some_and(|flag| flag.load(Ordering::Relaxed))
-                                {
-                                    // Stop claiming; completed chunks
-                                    // stand, and the merge below folds
-                                    // the contiguous claimed range.
-                                    break;
-                                }
-                            }
-                            let _ = sender.send(local);
-                        })
-                    })
-                    .collect();
-                drop(sender);
-                let mut done = 0usize;
-                while done < threads {
-                    match receiver.recv_timeout(Duration::from_millis(WATCHDOG_TICK_MS)) {
-                        Ok(local) => {
-                            window_stats.cycles += local.cycles;
-                            window_stats.cell_evals += local.cell_evals;
-                            done += 1;
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
-                                if !flagged_stall[worker] {
-                                    flagged_stall[worker] = true;
-                                    mmaes_telemetry::degraded::mark(
-                                        "worker",
-                                        &format!("worker {worker}: {fault}"),
-                                    );
-                                }
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        // Unreachable: batch attempts run inside the
-                        // supervisor's panic boundary.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-            if let Some(error) = fatal
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .take()
-            {
-                // Discard the torn window: the shards' union is not a
-                // contiguous batch range. State stays at the last
-                // window boundary, which is.
-                result = Err(error);
-                break;
-            }
-            let reached = next_batch.load(Ordering::Relaxed).min(window_end);
-            {
-                let _span = context.perf.span("merge");
-                for shard in &mut shards {
-                    for (table, local) in state.tables.iter_mut().zip(shard.iter_mut()) {
-                        table.merge_from(local);
-                    }
-                }
-            }
-            state.folded.cycles += window_stats.cycles;
-            state.folded.cell_evals += window_stats.cell_evals;
-            state.batches_done = reached;
-            if self.after_batch(context, state) || reached < window_end {
-                break;
-            }
-        }
-        for worker_perf in &worker_perfs {
-            context.perf.absorb(worker_perf);
-        }
-        result
-    }
 }
 
-/// Packs each lane's extended observation of `set` into a key.
+/// Locks `mutex`, recovering the data from a poisoned lock: every
+/// critical section here is a single push, pop or insert, which cannot
+/// leave the data half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Packs each lane's extended observation of `set` into `keys`.
 ///
 /// Up to 128 observed bits are packed exactly; beyond that, bits are
 /// folded with a deterministic 128-bit mix (collisions can only merge
 /// contingency columns — they can weaken detection, never fabricate it).
-fn observation_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel) -> [u128; LANES] {
+fn observation_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel, keys: &mut [u128; LANES]) {
     let bits = set.observation_bits(model);
-    let mut keys = [0u128; LANES];
+    keys.fill(0);
     let mut position = 0usize;
     let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
         if position < 128 {
@@ -1229,24 +885,23 @@ fn observation_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel) -> [u128
         }
     };
     for &wire in &set.observed {
-        push_word(&mut keys, sim.value(wire), position);
+        push_word(keys, sim.value(wire), position);
         position += 1;
         if matches!(model, ProbeModel::GlitchTransition) {
-            push_word(&mut keys, sim.prev_value(wire), position);
+            push_word(keys, sim.prev_value(wire), position);
             position += 1;
         }
     }
     debug_assert_eq!(position, bits);
-    keys
 }
 
-/// [`observation_keys`] specialized to dense-eligible sets: packs each
-/// lane's observation into a `u32` index using the *same* bit layout
-/// (observed bit `i` at index bit `i`), so the index is bit-for-bit the
-/// zero-extended `u128` key — which is why a dense table's linear scan
-/// serializes in the exact sorted-key order the hashed store emits.
-/// Only called for sets whose [`ProbeSet::dense_index_width`] fits
-/// `u32`, so no overflow-mix arm exists here.
+/// [`observation_keys`] specialized to sets of at most
+/// [`MAX_DENSE_WIDTH`](crate::tabulate::MAX_DENSE_WIDTH) observed bits:
+/// packs each lane's observation into a `u32` index using the *same*
+/// bit layout (observed bit `i` at index bit `i`), so the index is
+/// bit-for-bit the zero-extended `u128` key — which is why a dense
+/// table's linear scan serializes in the exact sorted-key order the
+/// hashed store emits. No set this narrow reaches the overflow-mix arm.
 fn observation_indices(
     sim: &Simulator,
     set: &ProbeSet,
@@ -1510,9 +1165,11 @@ mod tests {
     #[test]
     fn sharded_overflow_tables_match_single_threaded() {
         // The nastiest determinism case: with a tiny table cap, *which*
-        // keys claim the last slots depends on insertion order. The
-        // per-batch sorted-runs aggregation plus in-order folding makes
-        // that order a function of the batch sequence alone.
+        // keys claim the last slots depends on insertion order. One
+        // ordered fold of lane observations — each batch's keys sorted
+        // inside `Table::absorb`, batches folded in batch order by
+        // either driver — makes that order a function of the batch
+        // sequence alone.
         let netlist = blatantly_leaky();
         let base = EvaluationConfig {
             traces: 20_000,

@@ -32,7 +32,7 @@ pub enum CampaignError {
         /// What exactly is missing.
         detail: String,
     },
-    /// A batch kept faulting after exhausting its quarantine-and-retry
+    /// A batch kept faulting after exhausting its retry
     /// budget (see [`crate::supervisor`]); the campaign stopped with a
     /// contiguous folded prefix and an emergency snapshot.
     Worker {

@@ -233,7 +233,9 @@ impl CampaignSnapshot {
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`], [`SnapshotError::VersionMismatch`] or
-    /// [`SnapshotError::Truncated`] as appropriate.
+    /// [`SnapshotError::Truncated`] as appropriate. A table whose `k`
+    /// keys are not strictly increasing, or whose counts plus overflow
+    /// do not sum to its samples, is [`SnapshotError::Corrupt`].
     pub fn from_text(text: &str) -> Result<Self, SnapshotError> {
         let corrupt = |line: usize, reason: &str| SnapshotError::Corrupt {
             line,
@@ -252,6 +254,23 @@ impl CampaignSnapshot {
         }
         let mut snapshot = CampaignSnapshot::default();
         let mut saw_end = false;
+        // Line of the latest `table` record, for its mass check.
+        let mut table_line = 0;
+        // A table's cells plus its overflow must account for exactly its
+        // samples; a sum past `u64::MAX` cannot.
+        let check_mass = |table: &TableSnapshot, line: usize| {
+            let total = table
+                .counts
+                .iter()
+                .flat_map(|(_, cell)| cell)
+                .chain(&table.overflow)
+                .try_fold(0u64, |sum, &count| sum.checked_add(count));
+            if total == Some(table.samples) {
+                Ok(())
+            } else {
+                Err(corrupt(line, "counts and overflow do not sum to samples"))
+            }
+        };
         for (index, line) in lines {
             let number = index + 1;
             let mut fields = line.split_ascii_whitespace();
@@ -292,6 +311,10 @@ impl CampaignSnapshot {
                     if expected_index != snapshot.tables.len() {
                         return Err(corrupt(number, "table index out of order"));
                     }
+                    if let Some(previous) = snapshot.tables.last() {
+                        check_mass(previous, table_line)?;
+                    }
+                    table_line = number;
                     let mut parse = |what: &str| {
                         fields
                             .next()
@@ -327,6 +350,9 @@ impl CampaignSnapshot {
                         .next()
                         .and_then(|value| value.parse().ok())
                         .ok_or_else(|| corrupt(number, "bad count"))?;
+                    if table.counts.last().is_some_and(|&(last, _)| key <= last) {
+                        return Err(corrupt(number, "count key out of order or duplicated"));
+                    }
                     table.counts.push((key, [count0, count1]));
                 }
                 Some("traj") => {
@@ -345,6 +371,9 @@ impl CampaignSnapshot {
                     table.trajectory.push((traces, f64::from_bits(bits)));
                 }
                 Some("end") => {
+                    if let Some(last) = snapshot.tables.last() {
+                        check_mass(last, table_line)?;
+                    }
                     saw_end = true;
                     break;
                 }
@@ -446,7 +475,7 @@ mod tests {
             statistic: StatisticKind::GTest,
             tables: vec![
                 TableSnapshot {
-                    samples: 2688,
+                    samples: 2703,
                     overflow: [3, 5],
                     flagged: true,
                     counts: vec![(0, [100, 90]), (1, [1200, 1298]), (u128::MAX, [0, 7])],

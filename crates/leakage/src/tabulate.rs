@@ -8,14 +8,19 @@
 //!   observation key. Selected per probing set when the set's exact
 //!   key-space width fits (`2^width ≤ max_table_keys`, width ≤
 //!   [`MAX_DENSE_WIDTH`]): absorption is then a bounds-checked array
-//!   increment — no hashing, no sorting, no per-batch allocation — and
-//!   the table can never overflow its cap, which is what makes dense
-//!   absorption *commutative* and lets sharded workers keep
-//!   thread-local tables folded once per checkpoint window.
+//!   increment per lane — no hashing, no sorting, no allocation — and
+//!   the table can never overflow its cap.
 //! * **Hashed** — the original `HashMap<u128, [u64; 2]>` with an
 //!   overflow bucket past the key cap. The fallback for sets wider than
 //!   the dense rule admits, and the differential-testing reference
 //!   (`--tabulator hashed`).
+//!
+//! Both stores take one batch at a time through [`Table::absorb`]: the
+//! 64 lane observations the engine packed, plus the lane → population
+//! mask. The engine folds batches into the live tables in batch order
+//! on one thread, so the hashed store's cap/overflow rule (first `cap`
+//! distinct keys win, ties within a batch broken by key order) sees
+//! the same sequence on every thread count.
 //!
 //! Byte-identity across the two stores is structural, not statistical:
 //! a dense-eligible set has at most `2^width ≤ max_table_keys` distinct
@@ -82,6 +87,28 @@ impl TabulatorMode {
             "dense" => Some(TabulatorMode::Dense),
             "hashed" => Some(TabulatorMode::Hashed),
             _ => None,
+        }
+    }
+}
+
+/// One batch's packed observations of one probing set, one per lane,
+/// as [`Table::absorb`] takes them. Observation bit `i` sits at bit
+/// `i` of the packed value in both forms, so an index is bit for bit
+/// its zero-extended key.
+#[derive(Debug, Clone, Copy)]
+pub enum Lanes<'a> {
+    /// `u32` indices: sets observing at most [`MAX_DENSE_WIDTH`] bits.
+    Indices(&'a [u32; LANES]),
+    /// `u128` keys: wider sets.
+    Keys(&'a [u128; LANES]),
+}
+
+impl Lanes<'_> {
+    /// Lane `lane`'s observation as a `u128` key.
+    fn key(self, lane: usize) -> u128 {
+        match self {
+            Lanes::Indices(indices) => u128::from(indices[lane]),
+            Lanes::Keys(keys) => keys[lane],
         }
     }
 }
@@ -153,20 +180,50 @@ impl Table {
         self.overflow
     }
 
-    /// Folds one batch's pre-aggregated `(key, per-group counts)` runs
-    /// into the table — the batch-ordered protocol's absorption path.
-    /// Runs arrive sorted by key, so on the hashed store which keys
-    /// claim the last slots under `cap` is a deterministic function of
-    /// the batch sequence — the property that makes sharded campaigns
-    /// byte-identical to single-threaded ones even when tables
-    /// overflow. The dense store ignores `cap`: its key space is
-    /// complete by construction.
-    pub fn absorb_runs(&mut self, runs: &[(u128, [u64; 2])], cap: usize) {
+    /// Absorbs one batch: [`LANES`] packed observations, lane `i` in the
+    /// random population when bit `i` of `lane_groups` is set.
+    ///
+    /// The dense store does one increment per lane and ignores `cap`
+    /// (its key space is complete by construction). The hashed store
+    /// sorts the batch's keys first and then inserts them key by key: a
+    /// key already present is counted, a new key is inserted while the
+    /// table holds fewer than `cap` keys, and every other lane goes to
+    /// the overflow bucket. Which keys win the last slots is then a
+    /// function of the batch's key multiset, never of its lane order,
+    /// so folding batches in batch order fixes the overflow exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dense table receives an observation beyond its
+    /// width — an internal invariant violation, since observations are
+    /// packed from exactly the bits the width was computed from.
+    pub fn absorb(&mut self, lanes: Lanes<'_>, lane_groups: u64, cap: usize) {
         self.sorted = None;
+        self.samples += LANES as u64;
+        let group = |lane: usize| ((lane_groups >> lane) & 1) as usize;
         match &mut self.store {
+            Store::Dense(cells) => match lanes {
+                Lanes::Indices(indices) => {
+                    for (lane, &index) in indices.iter().enumerate() {
+                        cells[index as usize][group(lane)] += 1;
+                    }
+                }
+                Lanes::Keys(keys) => {
+                    for (lane, &key) in keys.iter().enumerate() {
+                        cells[key as usize][group(lane)] += 1;
+                    }
+                }
+            },
             Store::Hashed(counts) => {
-                for &(key, cell) in runs {
-                    self.samples += cell[0] + cell[1];
+                let mut sorted: [(u128, usize); LANES] =
+                    std::array::from_fn(|lane| (lanes.key(lane), group(lane)));
+                sorted.sort_unstable_by_key(|&(key, _)| key);
+                for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+                    let mut cell = [0u64; 2];
+                    for &(_, group) in run {
+                        cell[group] += 1;
+                    }
+                    let key = run[0].0;
                     if let Some(existing) = counts.get_mut(&key) {
                         existing[0] += cell[0];
                         existing[1] += cell[1];
@@ -178,73 +235,6 @@ impl Table {
                     }
                 }
             }
-            Store::Dense(cells) => {
-                for &(key, cell) in runs {
-                    self.samples += cell[0] + cell[1];
-                    let slot = &mut cells[key as usize];
-                    slot[0] += cell[0];
-                    slot[1] += cell[1];
-                }
-            }
-        }
-    }
-
-    /// Absorbs one batch of per-lane packed indices directly — the
-    /// dense fast path: no sort, no run-length encoding, no per-batch
-    /// allocation, just [`LANES`] bounds-checked increments. Lane `i`
-    /// belongs to the random population when bit `i` of `lane_groups`
-    /// is set. Commutative across batches (pure integer adds), which is
-    /// what licenses the per-worker-table merge protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index exceeds the table's width — an internal
-    /// invariant violation, since indices are packed from exactly the
-    /// bits the width was computed from.
-    pub fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
-        let Store::Dense(cells) = &mut self.store else {
-            unreachable!("absorb_indices on a hashed table");
-        };
-        self.sorted = None;
-        self.samples += LANES as u64;
-        for (lane, &index) in indices.iter().enumerate() {
-            cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
-        }
-    }
-
-    /// Folds `other` into `self` and drains `other` back to empty — the
-    /// commutative merge a sharded coordinator runs once per checkpoint
-    /// window over each worker's thread-local tables. Both tables must
-    /// share the same store layout (the campaign builds every shard
-    /// from the same probing set).
-    pub fn merge_from(&mut self, other: &mut Table) {
-        self.sorted = None;
-        other.sorted = None;
-        self.samples += other.samples;
-        other.samples = 0;
-        self.overflow[0] += other.overflow[0];
-        self.overflow[1] += other.overflow[1];
-        other.overflow = [0, 0];
-        match (&mut self.store, &mut other.store) {
-            (Store::Dense(into), Store::Dense(from)) => {
-                assert_eq!(into.len(), from.len(), "mismatched dense widths");
-                for (into, from) in into.iter_mut().zip(from.iter_mut()) {
-                    into[0] += from[0];
-                    into[1] += from[1];
-                    *from = [0, 0];
-                }
-            }
-            (Store::Hashed(into), Store::Hashed(from)) => {
-                // Uncapped by design: the commutative protocol only
-                // runs when every table is dense, so a hashed merge
-                // only occurs in direct API use (e.g. tests).
-                for (key, cell) in from.drain() {
-                    let slot = into.entry(key).or_insert([0, 0]);
-                    slot[0] += cell[0];
-                    slot[1] += cell[1];
-                }
-            }
-            _ => panic!("merge_from requires matching table layouts"),
         }
     }
 
@@ -338,24 +328,46 @@ impl Table {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    /// Splits a key stream into per-batch sorted runs, mirroring the
-    /// campaign's per-batch RLE aggregation.
-    fn runs_of(keys: &[(u128, usize)]) -> Vec<(u128, [u64; 2])> {
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable_by_key(|&(key, _)| key);
-        let mut runs: Vec<(u128, [u64; 2])> = Vec::new();
-        for (key, group) in sorted {
-            match runs.last_mut() {
-                Some((last, cell)) if *last == key => cell[group] += 1,
-                _ => {
-                    let mut cell = [0u64; 2];
-                    cell[group] = 1;
-                    runs.push((key, cell));
+    /// One batch of packed indices: lane `i` observes `keys[i % len]`.
+    fn batch(keys: &[u32]) -> [u32; LANES] {
+        std::array::from_fn(|lane| keys[lane % keys.len()])
+    }
+
+    /// The same batch as zero-extended `u128` keys.
+    fn widened(indices: &[u32; LANES]) -> [u128; LANES] {
+        indices.map(u128::from)
+    }
+
+    /// The reference fold the hashed store must reproduce: each batch
+    /// aggregated into key-sorted `(key, [fixed, random])` runs, runs
+    /// inserted in order, a new key admitted only while fewer than
+    /// `cap` keys are held, everything else pooled into the overflow.
+    #[derive(Default)]
+    struct SortedRuns {
+        counts: BTreeMap<u128, [u64; 2]>,
+        overflow: [u64; 2],
+    }
+
+    impl SortedRuns {
+        fn absorb(&mut self, keys: &[u128; LANES], lane_groups: u64, cap: usize) {
+            let mut runs: BTreeMap<u128, [u64; 2]> = BTreeMap::new();
+            for (lane, &key) in keys.iter().enumerate() {
+                runs.entry(key).or_default()[((lane_groups >> lane) & 1) as usize] += 1;
+            }
+            for (key, cell) in runs {
+                if let Some(existing) = self.counts.get_mut(&key) {
+                    existing[0] += cell[0];
+                    existing[1] += cell[1];
+                } else if self.counts.len() < cap {
+                    self.counts.insert(key, cell);
+                } else {
+                    self.overflow[0] += cell[0];
+                    self.overflow[1] += cell[1];
                 }
             }
         }
-        runs
     }
 
     #[test]
@@ -371,65 +383,50 @@ mod tests {
     fn dense_and_hashed_agree_on_a_fixed_stream() {
         let mut dense = Table::dense(4);
         let mut hashed = Table::hashed();
-        let runs = runs_of(&[(3, 0), (3, 1), (15, 1), (0, 0), (3, 0)]);
-        dense.absorb_runs(&runs, 16);
-        hashed.absorb_runs(&runs, 16);
+        let indices = batch(&[3, 3, 15, 0, 3]);
+        let lane_groups = 0x0123_4567_89ab_cdefu64;
+        dense.absorb(Lanes::Indices(&indices), lane_groups, 16);
+        hashed.absorb(Lanes::Indices(&indices), lane_groups, 16);
         assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
         assert_eq!(dense.g_columns(), hashed.g_columns());
         assert_eq!(dense.samples(), hashed.samples());
+        assert_eq!(dense.samples(), LANES as u64);
         assert_eq!(dense.distinct_keys(), 3);
         assert_eq!(dense.overflow(), [0, 0]);
     }
 
     #[test]
-    fn absorb_indices_matches_absorb_runs() {
+    fn indices_and_keys_absorb_identically_into_either_store() {
         let lane_groups = 0xdead_beef_0bad_f00du64;
-        let mut indices = [0u32; LANES];
-        for (lane, slot) in indices.iter_mut().enumerate() {
-            *slot = (lane % 7) as u32;
+        let indices: [u32; LANES] = std::array::from_fn(|lane| (lane % 7) as u32);
+        let keys = widened(&indices);
+        let mut reference = SortedRuns::default();
+        reference.absorb(&keys, lane_groups, 8);
+        let expected: Vec<(u128, [u64; 2])> = reference.counts.into_iter().collect();
+        for mut table in [Table::dense(3), Table::hashed()] {
+            let mut by_key = table.clone();
+            table.absorb(Lanes::Indices(&indices), lane_groups, 8);
+            by_key.absorb(Lanes::Keys(&keys), lane_groups, 8);
+            assert_eq!(table.sorted_columns(), expected.as_slice());
+            assert_eq!(by_key.sorted_columns(), expected.as_slice());
+            assert_eq!(table.samples(), LANES as u64);
         }
-        let keyed: Vec<(u128, usize)> = indices
-            .iter()
-            .enumerate()
-            .map(|(lane, &index)| (index as u128, ((lane_groups >> lane) & 1) as usize))
-            .collect();
-        let mut direct = Table::dense(3);
-        direct.absorb_indices(&indices, lane_groups);
-        let mut reference = Table::dense(3);
-        reference.absorb_runs(&runs_of(&keyed), 8);
-        assert_eq!(direct.sorted_columns(), reference.sorted_columns());
-        assert_eq!(direct.samples(), LANES as u64);
-    }
-
-    #[test]
-    fn merge_from_is_commutative_and_drains_the_source() {
-        let runs_a = runs_of(&[(1, 0), (2, 1), (2, 1)]);
-        let runs_b = runs_of(&[(2, 0), (7, 1)]);
-        let mut ab = Table::dense(3);
-        ab.absorb_runs(&runs_a, 8);
-        let mut b = Table::dense(3);
-        b.absorb_runs(&runs_b, 8);
-        ab.merge_from(&mut b);
-        let mut ba = Table::dense(3);
-        ba.absorb_runs(&runs_b, 8);
-        let mut a = Table::dense(3);
-        a.absorb_runs(&runs_a, 8);
-        ba.merge_from(&mut a);
-        assert_eq!(ab.sorted_columns(), ba.sorted_columns());
-        assert_eq!(ab.samples(), ba.samples());
-        assert_eq!(b.samples(), 0, "merge drains the source");
-        assert!(b.sorted_columns().is_empty());
     }
 
     #[test]
     fn cached_columns_invalidate_on_absorption() {
         let mut table = Table::dense(2);
-        table.absorb_runs(&runs_of(&[(1, 0)]), 4);
+        table.absorb(Lanes::Indices(&batch(&[1])), 0, 4);
         assert_eq!(table.sorted_columns().len(), 1);
-        table.absorb_runs(&runs_of(&[(2, 1)]), 4);
+        table.absorb(Lanes::Indices(&batch(&[2])), u64::MAX, 4);
         assert_eq!(table.sorted_columns().len(), 2, "stale cache served");
-        table.absorb_indices(&[0u32; LANES], 0);
+        table.absorb(Lanes::Keys(&[0u128; LANES]), 0, 4);
         assert_eq!(table.sorted_columns().len(), 3);
+        let mut hashed = Table::hashed();
+        hashed.absorb(Lanes::Indices(&batch(&[1])), 0, 4);
+        assert_eq!(hashed.sorted_columns().len(), 1);
+        hashed.absorb(Lanes::Indices(&batch(&[2])), 0, 4);
+        assert_eq!(hashed.sorted_columns().len(), 2, "stale cache served");
     }
 
     #[test]
@@ -440,7 +437,7 @@ mod tests {
         // one that already served columns. A stale memo at any of these
         // points would silently corrupt every post-resume checkpoint.
         let mut table = Table::dense(3);
-        table.absorb_runs(&runs_of(&[(1, 0), (5, 1)]), 8);
+        table.absorb(Lanes::Indices(&batch(&[1, 5])), 0xaaaa_aaaa_aaaa_aaaa, 8);
         let saved = table.sorted_columns().to_vec(); // memoizes
         let overflow = table.overflow();
         let samples = table.samples();
@@ -448,7 +445,7 @@ mod tests {
         // Resume into a table that has already memoized different
         // contents: restore must drop that memo.
         let mut resumed = Table::dense(3);
-        resumed.absorb_runs(&runs_of(&[(2, 0)]), 8);
+        resumed.absorb(Lanes::Indices(&batch(&[2])), 0, 8);
         assert_eq!(resumed.sorted_columns().len(), 1); // memoizes
         resumed.restore(saved.clone(), overflow, samples);
         assert_eq!(resumed.sorted_columns(), saved.as_slice(), "stale memo");
@@ -456,19 +453,34 @@ mod tests {
 
         // And absorption after the restore must invalidate again, so
         // the first post-resume checkpoint sees the merged counts.
-        resumed.absorb_runs(&runs_of(&[(2, 1)]), 8);
+        resumed.absorb(Lanes::Indices(&batch(&[2])), u64::MAX, 8);
         assert_eq!(resumed.sorted_columns().len(), saved.len() + 1);
         assert_eq!(resumed.g_columns().len(), saved.len() + 1);
     }
 
     #[test]
     fn hashed_overflow_pools_past_the_cap_deterministically() {
+        // Lanes arrive largest key first; the smallest keys still win
+        // the two slots because the batch is sorted before insertion.
         let mut table = Table::hashed();
-        table.absorb_runs(&runs_of(&[(1, 0), (2, 0), (3, 1), (4, 1)]), 2);
-        assert_eq!(table.distinct_keys(), 2);
-        assert_eq!(table.overflow(), [0, 2], "keys 3 and 4 pooled");
+        let indices = batch(&[4, 3, 2, 1]);
+        // Lanes holding keys 4 and 3 are random, keys 2 and 1 fixed.
+        let lane_groups = 0x3333_3333_3333_3333u64;
+        table.absorb(Lanes::Indices(&indices), lane_groups, 2);
+        assert_eq!(
+            table.sorted_columns(),
+            &[(1u128, [16u64, 0u64]), (2, [16, 0])]
+        );
+        assert_eq!(table.overflow(), [0, 32], "keys 3 and 4 pooled");
         assert_eq!(table.g_columns().len(), 3, "overflow is one more column");
-        assert_eq!(table.samples(), 4);
+        assert_eq!(table.samples(), LANES as u64);
+        // A later batch still counts retained keys and pools new ones.
+        table.absorb(Lanes::Indices(&batch(&[1, 9])), 0, 2);
+        assert_eq!(
+            table.sorted_columns(),
+            &[(1u128, [48u64, 0u64]), (2, [16, 0])]
+        );
+        assert_eq!(table.overflow(), [32, 32]);
     }
 
     #[test]
@@ -480,6 +492,14 @@ mod tests {
             table.sorted_columns(),
             &[(1u128, [5u64, 6u64]), (999, [1, 2])]
         );
+        // The fallen-back store keeps absorbing the narrow indices the
+        // engine packs for the set.
+        table.absorb(Lanes::Indices(&batch(&[1])), 0, 1 << 20);
+        assert_eq!(
+            table.sorted_columns(),
+            &[(1u128, [69u64, 6u64]), (999, [1, 2])]
+        );
+        assert_eq!(table.samples(), 14 + LANES as u64);
         let mut fits = Table::dense(2);
         fits.restore(vec![(1, [5, 6]), (3, [1, 2])], [0, 0], 14);
         assert!(fits.is_dense());
@@ -492,35 +512,46 @@ mod tests {
         assert_eq!(dense.resident_bytes(), 48 + 16 * 16);
         let mut hashed = Table::hashed();
         assert_eq!(hashed.resident_bytes(), 48);
-        hashed.absorb_runs(&runs_of(&[(1, 0), (2, 1)]), 8);
+        hashed.absorb(Lanes::Indices(&batch(&[1, 2])), 0, 8);
         assert_eq!(hashed.resident_bytes(), 48 + 2 * 48);
+    }
+
+    /// Turns raw proptest draws into batches of `LANES` observations
+    /// masked to `mask` (small masks force repeated keys).
+    fn batches_of(raw: &[(u64, u64)], mask: u64) -> Vec<([u32; LANES], u64)> {
+        raw.chunks_exact(LANES)
+            .map(|chunk| {
+                let indices = std::array::from_fn(|lane| (chunk[lane].0 & mask) as u32);
+                let lane_groups = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |groups, (lane, &(_, bits))| {
+                        groups | ((bits & 1) << lane)
+                    });
+                (indices, lane_groups)
+            })
+            .collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The differential property behind `--tabulator`: on any key
-        /// stream batched any way, a dense table and a capacity-matched
+        /// The differential property behind `--tabulator`: on any
+        /// sequence of batches, a dense table and a capacity-matched
         /// hashed table produce identical `g_columns()` — including at
         /// the `2^width == max_table_keys` boundary, where the hashed
         /// store's cap is exactly the dense key space.
         #[test]
         fn dense_matches_hashed_on_random_key_streams(
             width in 1usize..=10,
-            raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
-            batch_len in 1usize..32,
+            raw in prop::collection::vec((any::<u64>(), any::<u64>()), LANES..8 * LANES),
         ) {
             let cap = 1usize << width; // the exact 2^width == cap boundary
-            let keys: Vec<(u128, usize)> = raw
-                .iter()
-                .map(|&(key, group)| ((key as u128) & (cap as u128 - 1), group as usize))
-                .collect();
             let mut dense = Table::dense(width);
             let mut hashed = Table::hashed();
-            for batch in keys.chunks(batch_len) {
-                let runs = runs_of(batch);
-                dense.absorb_runs(&runs, cap);
-                hashed.absorb_runs(&runs, cap);
+            for (indices, lane_groups) in batches_of(&raw, cap as u64 - 1) {
+                dense.absorb(Lanes::Indices(&indices), lane_groups, cap);
+                hashed.absorb(Lanes::Keys(&widened(&indices)), lane_groups, cap);
             }
             prop_assert_eq!(dense.g_columns(), hashed.g_columns());
             prop_assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
@@ -530,26 +561,66 @@ mod tests {
         }
 
         /// Below the dense threshold the hashed store pools overflow:
-        /// mass is conserved and the bucket is one extra column.
+        /// mass is conserved, the bucket is one extra column, and the
+        /// retained keys and overflow are exactly the sorted-runs fold's.
         #[test]
         fn hashed_overflow_conserves_mass(
-            raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
+            raw in prop::collection::vec((any::<u64>(), any::<u64>()), LANES..8 * LANES),
             cap in 1usize..8,
         ) {
-            let keys: Vec<(u128, usize)> = raw
-                .iter()
-                .map(|&(key, group)| ((key as u128) & 0xff, group as usize))
-                .collect();
+            let batches = batches_of(&raw, 0xff);
             let mut table = Table::hashed();
-            table.absorb_runs(&runs_of(&keys), cap);
+            let mut reference = SortedRuns::default();
+            for (indices, lane_groups) in &batches {
+                table.absorb(Lanes::Indices(indices), *lane_groups, cap);
+                reference.absorb(&widened(indices), *lane_groups, cap);
+            }
+            let expected: Vec<(u128, [u64; 2])> = reference.counts.into_iter().collect();
             prop_assert!(table.distinct_keys() <= cap);
+            prop_assert_eq!(table.sorted_columns(), expected.as_slice());
+            prop_assert_eq!(table.overflow(), reference.overflow);
             let tallied: u64 = table
                 .g_columns()
                 .iter()
                 .map(|&(fixed, random)| fixed + random)
                 .sum();
-            prop_assert_eq!(tallied, keys.len() as u64);
-            prop_assert_eq!(table.samples(), keys.len() as u64);
+            let absorbed = (batches.len() * LANES) as u64;
+            prop_assert_eq!(tallied, absorbed);
+            prop_assert_eq!(table.samples(), absorbed);
+        }
+
+        /// The hashed store ignores lane order within a batch: any
+        /// permutation of one batch's lanes (with their populations)
+        /// yields the same columns, overflow and sample count, at every
+        /// cap from 1 to 8 — also on a table a previous batch filled.
+        #[test]
+        fn hashed_absorb_ignores_lane_order(
+            raw in prop::collection::vec((any::<u64>(), any::<u64>()), 2 * LANES),
+            order in prop::collection::vec(any::<u64>(), LANES),
+            cap in 1usize..=8,
+        ) {
+            let batches = batches_of(&raw, 0xf);
+            let (prior, prior_groups) = batches[0];
+            let (indices, lane_groups) = batches[1];
+            let mut permutation: [usize; LANES] = std::array::from_fn(|lane| lane);
+            permutation.sort_by_key(|&lane| order[lane]);
+            let permuted: [u32; LANES] = std::array::from_fn(|lane| indices[permutation[lane]]);
+            let permuted_groups = permutation
+                .iter()
+                .enumerate()
+                .fold(0u64, |groups, (lane, &from)| {
+                    groups | (((lane_groups >> from) & 1) << lane)
+                });
+            let mut straight = Table::hashed();
+            let mut shuffled = Table::hashed();
+            for table in [&mut straight, &mut shuffled] {
+                table.absorb(Lanes::Indices(&prior), prior_groups, cap);
+            }
+            straight.absorb(Lanes::Indices(&indices), lane_groups, cap);
+            shuffled.absorb(Lanes::Indices(&permuted), permuted_groups, cap);
+            prop_assert_eq!(straight.g_columns(), shuffled.g_columns());
+            prop_assert_eq!(straight.overflow(), shuffled.overflow());
+            prop_assert_eq!(straight.samples(), shuffled.samples());
         }
     }
 }

@@ -312,3 +312,87 @@ proptest! {
         assert_resume_is_bit_identical(&leaky_design(), 6_400, stop_after);
     }
 }
+
+/// Interrupts a leaky campaign, applies `edit` to its snapshot text and
+/// resumes from the result, returning the resume leg's error.
+fn resume_from_edited_snapshot(tag: &str, edit: impl Fn(&str) -> String) -> CampaignError {
+    let netlist = leaky_design();
+    let path = snapshot_path(tag);
+    let mut first = config(6_400);
+    first.durability = Durability {
+        snapshot_path: Some(path.clone()),
+        resume: false,
+        interrupt: None,
+        stop_after_batches: Some(40),
+    };
+    FixedVsRandom::new(&netlist, first)
+        .try_run()
+        .expect("first leg");
+    let text = std::fs::read_to_string(&path).expect("snapshot written");
+    let edited = edit(&text);
+    assert_ne!(edited, text, "the edit must change the snapshot");
+    std::fs::write(&path, edited).expect("write");
+    let mut resumed = config(6_400);
+    resumed.durability = Durability {
+        snapshot_path: Some(path.clone()),
+        resume: true,
+        interrupt: None,
+        stop_after_batches: None,
+    };
+    let error = FixedVsRandom::new(&netlist, resumed)
+        .try_run()
+        .expect_err("inconsistent snapshot must not resume");
+    let _ = std::fs::remove_file(&path);
+    error
+}
+
+#[test]
+fn duplicated_count_keys_are_corrupt() {
+    // Repeating a table's first `k` record makes its keys non-increasing.
+    let error = resume_from_edited_snapshot("duplicate-key", |text| {
+        let lines: Vec<&str> = text.lines().collect();
+        let first_key = lines
+            .iter()
+            .position(|line| line.starts_with("k "))
+            .expect("a count record");
+        let mut edited = lines.clone();
+        edited.insert(first_key + 1, lines[first_key]);
+        edited.join("\n") + "\n"
+    });
+    assert!(
+        matches!(
+            error,
+            CampaignError::Snapshot(SnapshotError::Corrupt { ref reason, .. })
+                if reason.contains("out of order or duplicated")
+        ),
+        "{error:?}"
+    );
+}
+
+#[test]
+fn counts_that_do_not_sum_to_samples_are_corrupt() {
+    // Bump the first table's sample count by one: its cells plus
+    // overflow no longer account for it.
+    let error = resume_from_edited_snapshot("mass", |text| {
+        text.lines()
+            .map(|line| match line.strip_prefix("table 0 ") {
+                Some(rest) => {
+                    let (samples, tail) = rest.split_once(' ').expect("table fields");
+                    let samples: u64 = samples.parse().expect("samples");
+                    format!("table 0 {} {tail}", samples + 1)
+                }
+                None => line.to_owned(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+            + "\n"
+    });
+    assert!(
+        matches!(
+            error,
+            CampaignError::Snapshot(SnapshotError::Corrupt { ref reason, .. })
+                if reason.contains("do not sum to samples")
+        ),
+        "{error:?}"
+    );
+}

@@ -8,7 +8,9 @@
 use std::path::PathBuf;
 
 use mmaes_circuits::build_kronecker;
-use mmaes_leakage::{Durability, EvaluationConfig, FixedVsRandom, LeakageReport, TabulatorMode};
+use mmaes_leakage::{
+    CampaignSnapshot, Durability, EvaluationConfig, FixedVsRandom, LeakageReport, TabulatorMode,
+};
 use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole};
 
@@ -162,4 +164,63 @@ fn a_snapshot_written_dense_resumes_hashed_bit_identically() {
 #[test]
 fn a_snapshot_written_hashed_resumes_dense_bit_identically() {
     assert_resume_switches_stores(TabulatorMode::Hashed, TabulatorMode::Dense);
+}
+
+/// FNV-1a (64-bit) over a byte string: a stable digest for pinning
+/// report and snapshot bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(max_table_keys, report CSV digest, final snapshot digest)` for
+/// capped Eq. 6 campaigns whose hashed tables overflow the key cap.
+/// Recorded from the implementation that folded each batch as
+/// key-sorted runs. The equality checks above only compare one thread
+/// count or store with another, so a change to the cap/overflow rule
+/// that moved every leg the same way would pass them; it cannot pass
+/// these constants.
+const OVERFLOW_DIGESTS: [(usize, u64, u64); 2] = [
+    (1, 0xdf39_ba26_4b7c_3b2d, 0x3683_ac60_6d48_186a),
+    (3, 0x14dd_a304_e453_979a, 0x6d16_8804_a444_88e8),
+];
+
+#[test]
+fn overflowing_campaigns_reproduce_pinned_report_and_snapshot_bytes() {
+    for (cap, csv_digest, snapshot_digest) in OVERFLOW_DIGESTS {
+        for tabulator in [TabulatorMode::Dense, TabulatorMode::Hashed] {
+            for threads in [1usize, 2, 3] {
+                let leg = format!("cap={cap} threads={threads} tabulator={}", tabulator.name());
+                let path = resume_path(&format!("overflow-{cap}-{threads}-{}", tabulator.name()));
+                let mut config = eq6_config(threads, tabulator);
+                config.max_table_keys = cap;
+                config.durability = Durability {
+                    snapshot_path: Some(path.clone()),
+                    ..Durability::default()
+                };
+                let report = run_eq6(config);
+                let bytes = std::fs::read(&path).expect("final snapshot");
+                let _ = std::fs::remove_file(&path);
+                let snapshot = CampaignSnapshot::from_text(
+                    std::str::from_utf8(&bytes).expect("snapshot is text"),
+                )
+                .expect("final snapshot parses");
+                assert!(
+                    snapshot.tables.iter().any(|table| table.overflow != [0, 0]),
+                    "{leg}: no table overflowed its cap"
+                );
+                assert_eq!(
+                    fnv1a(report.to_csv().as_bytes()),
+                    csv_digest,
+                    "{leg}: report CSV bytes changed"
+                );
+                assert_eq!(
+                    fnv1a(&bytes),
+                    snapshot_digest,
+                    "{leg}: final snapshot bytes changed"
+                );
+            }
+        }
+    }
 }
