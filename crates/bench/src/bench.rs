@@ -39,7 +39,7 @@ use mmaes_masking::KroneckerRandomness;
 use mmaes_sim::{EvaluatorMode, Simulator, LANES};
 use mmaes_telemetry::json::{array, parse, JsonObject, JsonValue};
 use mmaes_telemetry::{
-    ChromeTraceBuilder, Observer, PerfRecorder, PerfSnapshot, PhaseStats, Stopwatch,
+    ChromeTraceBuilder, Faults, Observer, PerfRecorder, PerfSnapshot, PhaseStats, Stopwatch,
 };
 
 /// Version of the `BENCH_*.json` record layout. Bumped on any field
@@ -91,6 +91,9 @@ pub struct BenchOptions {
     /// the G-test fold or the Welch t-test fold, so either hot path can
     /// be tracked for regressions.
     pub statistic: StatisticKind,
+    /// The run's fault handle (`MMAES_FAILPOINTS`), shared by every
+    /// campaign workload.
+    pub faults: Faults,
 }
 
 impl Default for BenchOptions {
@@ -107,6 +110,7 @@ impl Default for BenchOptions {
             evaluator: EvaluatorMode::Compiled,
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
+            faults: Faults::default(),
         }
     }
 }
@@ -284,9 +288,13 @@ fn schedule_matrix() -> Vec<(KroneckerRandomness, usize)> {
 }
 
 /// Runs the full matrix and exits: 0 on success, 1 on a baseline
-/// regression, 2 on bad arguments or an unreadable baseline.
-pub fn run(arguments: &[String]) -> ! {
-    let options = BenchOptions::parse(arguments);
+/// regression, 2 on bad arguments or an unreadable baseline. The
+/// campaign workloads run under `faults`.
+pub fn run(arguments: &[String], faults: Faults) -> ! {
+    let options = BenchOptions {
+        faults,
+        ..BenchOptions::parse(arguments)
+    };
     // Load the baseline up front so a bad path fails before the
     // (minutes-long) measurement, not after.
     let baseline = options.baseline.as_deref().map(load_baseline);
@@ -455,6 +463,7 @@ fn bench_campaign(
         evaluator: options.evaluator,
         tabulator,
         statistic: options.statistic,
+        faults: options.faults.clone(),
         ..EvaluationConfig::default()
     };
     let perf = PerfRecorder::enabled();

@@ -123,15 +123,16 @@ use mmaes_leakage::{
 use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistStats, WireId};
 use mmaes_sim::EvaluatorMode;
-use mmaes_telemetry::{chrome_trace, Event, Observer, RunSummary, Stopwatch};
+use mmaes_telemetry::{chrome_trace, Event, Faults, Observer, RunSummary, Stopwatch};
 
 fn main() {
     // A malformed MMAES_FAILPOINTS is a bad input, not a chaos event:
     // refuse to run rather than silently ignore the schedule.
-    if let Err(error) = mmaes_telemetry::failpoint::configure_from_env() {
-        eprintln!("{error}");
+    let spec = std::env::var("MMAES_FAILPOINTS").unwrap_or_default();
+    let faults = mmaes_bench::run_faults(&spec).unwrap_or_else(|error| {
+        eprintln!("MMAES_FAILPOINTS: {error}");
         exit(2);
-    }
+    });
     let arguments: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = arguments.first() else {
         usage();
@@ -142,12 +143,12 @@ fn main() {
         "stats" => stats(&arguments[1..]),
         "dot" => export(&arguments[1..], |netlist| netlist.to_dot(), "dot"),
         "verilog" => export(&arguments[1..], |netlist| netlist.to_verilog(), "v"),
-        "evaluate" => evaluate(&arguments[1..]),
-        "explain" => explain(&arguments[1..]),
-        "verify" => verify(&arguments[1..]),
-        "selftest" => selftest(&arguments[1..]),
+        "evaluate" => evaluate(&arguments[1..], faults),
+        "explain" => explain(&arguments[1..], faults),
+        "verify" => verify(&arguments[1..], &faults),
+        "selftest" => selftest(&arguments[1..], &faults),
         "chaos" => chaos(&arguments[1..]),
-        "bench" => mmaes_bench::bench::run(&arguments[1..]),
+        "bench" => mmaes_bench::bench::run(&arguments[1..], faults),
         "top" => mmaes_bench::top::run(&arguments[1..]),
         "--help" | "-h" | "help" => usage(),
         other => {
@@ -367,155 +368,40 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
     }
 }
 
-fn evaluate(arguments: &[String]) {
+fn evaluate(arguments: &[String], faults: Faults) {
     let Some(spec) = arguments.first() else {
         eprintln!("evaluate needs a design");
         exit(2);
     };
     let design = build_design(spec);
-    // The CLI defaults to 8 interim checkpoints so `--metrics` and
-    // `--csv` capture trajectories out of the box; `--checkpoints 0`
-    // restores the bare fast path.
-    let mut config = EvaluationConfig {
-        checkpoints: 8,
-        ..EvaluationConfig::default()
-    };
     let mut csv_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut status_file: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut perf = false;
-    let mut quiet = false;
-    let mut rest = arguments[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
-        match flag.as_str() {
-            "--model" => {
-                config.model = match value().as_str() {
-                    "glitch" => ProbeModel::Glitch,
-                    "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
-                    other => {
-                        eprintln!("unknown model `{other}`");
-                        exit(exit_code::INVALID_INPUT);
-                    }
-                }
-            }
-            "--order" => {
-                let mut order = 0u64;
-                numeric(&mut order);
-                config.order = order as usize;
-            }
-            "--traces" => numeric(&mut config.traces),
-            "--fixed" => numeric(&mut config.fixed_secret),
-            "--seed" => numeric(&mut config.seed),
-            "--scope" => config.probe_scope_filter = Some(value()),
-            "--csv" => csv_path = Some(value()),
-            "--checkpoints" => numeric(&mut config.checkpoints),
+    let cli = CampaignCli::parse(&arguments[1..], &design, faults, |flag, rest, config| {
+        match flag {
+            "--csv" => csv_path = Some(flag_value(flag, rest)),
             "--early-stop" => config.early_stop = true,
-            "--threads" => {
-                let mut threads = 0u64;
-                numeric(&mut threads);
-                config.threads = threads as usize;
-            }
-            "--evaluator" => {
-                let name = value();
-                config.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--tabulator" => {
-                let name = value();
-                config.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--statistic" => {
-                let name = value();
-                config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown statistic `{name}` (gtest|ttest)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
             "--snapshot" => {
-                config.durability.snapshot_path = Some(std::path::PathBuf::from(value()));
+                config.durability.snapshot_path =
+                    Some(std::path::PathBuf::from(flag_value(flag, rest)));
             }
             "--resume" => config.durability.resume = true,
             "--stop-after-batches" => {
-                let mut cap = 0u64;
-                numeric(&mut cap);
-                config.durability.stop_after_batches = Some(cap);
+                config.durability.stop_after_batches = Some(flag_number(flag, rest));
             }
-            "--metrics" => metrics_path = Some(value()),
-            "--status-file" => status_file = Some(value()),
-            "--metrics-addr" => metrics_addr = Some(value()),
-            "--trace" => trace_path = Some(value()),
             "--failpoints" => {
-                let spec = value();
-                mmaes_telemetry::failpoint::configure(&spec).unwrap_or_else(|error| {
-                    eprintln!("--failpoints: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                });
+                config.faults =
+                    mmaes_bench::run_faults(&flag_value(flag, rest)).unwrap_or_else(|error| {
+                        eprintln!("--failpoints: {error}");
+                        exit(exit_code::INVALID_INPUT);
+                    });
             }
-            "--progress" => progress = true,
-            "--perf" => perf = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
+            _ => return false,
         }
-    }
-    if config.durability.resume && config.durability.snapshot_path.is_none() {
-        eprintln!("--resume needs --snapshot FILE");
-        exit(exit_code::INVALID_INPUT);
-    }
-    config.durability.interrupt = Some(mmaes_sigint::install());
-    // Cipher cores need a deeper warm-up and their load pulse.
-    if design.load.is_some() {
-        config.warmup_cycles = 14;
-    }
-    let model = model_name(config.model);
-    let order = config.order;
-    let statistic = config.statistic;
-    let threads = config.threads.max(1) as u64;
-    // A Chrome-trace export needs the per-phase timings recorded even
-    // when `--perf`'s stderr table was not asked for. The server guard
-    // stays alive until the summary is printed, so a scraper can fetch
-    // the final state.
-    let (observer, _metrics_server) =
-        mmaes_bench::live_observer(&mmaes_bench::LiveObserverOptions {
-            metrics_path: metrics_path.as_deref(),
-            progress: progress && !quiet,
-            perf: perf || trace_path.is_some(),
-            status_file: status_file.as_deref(),
-            metrics_addr: metrics_addr.as_deref(),
-            threads,
-        });
+        true
+    });
+    let (observer, _metrics_server) = cli.observer();
     let stopwatch = Stopwatch::start();
-    let mut campaign = FixedVsRandom::new(&design.netlist, config).with_observer(observer.clone());
-    for bus in &design.nonzero_buses {
-        campaign = campaign.require_nonzero_bus(bus.clone());
-    }
-    if let Some(load) = design.load {
-        campaign = campaign.schedule_control(load, vec![true, false]);
-    }
-    let report = campaign.run_or_exit();
-    if !quiet {
+    let report = cli.campaign(&design, &observer).run_or_exit();
+    if !cli.quiet {
         println!("{report}");
     }
     if let Some(path) = csv_path {
@@ -523,48 +409,239 @@ fn evaluate(arguments: &[String]) {
             eprintln!("cannot write {path}: {error}");
             exit(1);
         });
-        if !quiet {
+        if !cli.quiet {
             println!("per-probe results written to {path}");
         }
     }
-    let summary = RunSummary {
-        tool: "mmaes evaluate".to_owned(),
-        id: spec.clone(),
-        design: design.netlist.name().to_owned(),
-        schedule: design.schedule.clone(),
-        model: model.to_owned(),
-        statistic: statistic.name().to_owned(),
-        order,
-        traces: report.traces,
-        max_minus_log10_p: report
-            .worst()
-            .map(|result| result.minus_log10_p)
-            .unwrap_or(0.0),
-        passed: report.passed(),
-        wall_ms: stopwatch.elapsed_ms(),
-        traces_per_sec: stopwatch.rate(report.traces),
-        cell_evals: report.cell_evals,
-        interrupted: report.interrupted,
-        threads,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: Vec::new(),
-    };
-    observer.emit(&Event::RunSummary(summary.clone()));
-    if perf {
-        eprint!("{}", observer.perf().render_table());
+    let summary = cli.summary("mmaes evaluate", spec, &design, &report, &stopwatch);
+    cli.finish(
+        &observer,
+        &summary,
+        "evaluate",
+        "interrupted — partial statistics; continue with --snapshot FILE --resume",
+    );
+}
+
+/// The command line `evaluate` and `explain` share: the campaign
+/// configuration plus the telemetry outputs.
+#[derive(Default)]
+struct CampaignCli {
+    config: EvaluationConfig,
+    metrics_path: Option<String>,
+    status_file: Option<String>,
+    metrics_addr: Option<String>,
+    trace_path: Option<String>,
+    progress: bool,
+    perf: bool,
+    quiet: bool,
+}
+
+/// The value after `flag`; a missing one is invalid input.
+fn flag_value(flag: &str, rest: &mut std::slice::Iter<'_, String>) -> String {
+    rest.next().cloned().unwrap_or_else(|| {
+        eprintln!("flag {flag} needs a value");
+        exit(exit_code::INVALID_INPUT);
+    })
+}
+
+/// The numeric value after `flag`; a malformed one is invalid input.
+fn flag_number<T: std::str::FromStr>(flag: &str, rest: &mut std::slice::Iter<'_, String>) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(flag, rest).parse().unwrap_or_else(|error| {
+        eprintln!("flag {flag}: {error}");
+        exit(exit_code::INVALID_INPUT);
+    })
+}
+
+impl CampaignCli {
+    /// Parses the flags after the design, under `faults`. A flag that
+    /// is not a shared campaign option goes to `verb_flag`, which
+    /// returns `false` for an unknown flag. Then installs the interrupt
+    /// handler and deepens the warm-up for cipher cores.
+    fn parse(
+        arguments: &[String],
+        design: &Design,
+        faults: Faults,
+        mut verb_flag: impl FnMut(
+            &str,
+            &mut std::slice::Iter<'_, String>,
+            &mut EvaluationConfig,
+        ) -> bool,
+    ) -> Self {
+        // The CLI defaults to 8 interim checkpoints so `--metrics` and
+        // `--csv` capture trajectories out of the box; `--checkpoints 0`
+        // restores the bare fast path.
+        let mut cli = CampaignCli {
+            config: EvaluationConfig {
+                checkpoints: 8,
+                faults,
+                ..EvaluationConfig::default()
+            },
+            ..CampaignCli::default()
+        };
+        let config = &mut cli.config;
+        let mut rest = arguments.iter();
+        while let Some(flag) = rest.next() {
+            let rest = &mut rest;
+            match flag.as_str() {
+                "--model" => {
+                    config.model = match flag_value(flag, rest).as_str() {
+                        "glitch" => ProbeModel::Glitch,
+                        "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
+                        other => {
+                            eprintln!("unknown model `{other}`");
+                            exit(exit_code::INVALID_INPUT);
+                        }
+                    }
+                }
+                "--order" => config.order = flag_number(flag, rest),
+                "--traces" => config.traces = flag_number(flag, rest),
+                "--fixed" => config.fixed_secret = flag_number(flag, rest),
+                "--seed" => config.seed = flag_number(flag, rest),
+                "--scope" => config.probe_scope_filter = Some(flag_value(flag, rest)),
+                "--checkpoints" => config.checkpoints = flag_number(flag, rest),
+                "--threads" => config.threads = flag_number(flag, rest),
+                "--evaluator" => {
+                    let name = flag_value(flag, rest);
+                    config.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
+                        eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
+                        exit(exit_code::INVALID_INPUT);
+                    });
+                }
+                "--tabulator" => {
+                    let name = flag_value(flag, rest);
+                    config.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
+                        eprintln!("unknown tabulator `{name}` (dense|hashed)");
+                        exit(exit_code::INVALID_INPUT);
+                    });
+                }
+                "--statistic" => {
+                    let name = flag_value(flag, rest);
+                    config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
+                        eprintln!("unknown statistic `{name}` (gtest|ttest)");
+                        exit(exit_code::INVALID_INPUT);
+                    });
+                }
+                "--metrics" => cli.metrics_path = Some(flag_value(flag, rest)),
+                "--status-file" => cli.status_file = Some(flag_value(flag, rest)),
+                "--metrics-addr" => cli.metrics_addr = Some(flag_value(flag, rest)),
+                "--trace" => cli.trace_path = Some(flag_value(flag, rest)),
+                "--progress" => cli.progress = true,
+                "--perf" => cli.perf = true,
+                "--quiet" => cli.quiet = true,
+                other => {
+                    if !verb_flag(other, rest, config) {
+                        eprintln!("unknown flag `{other}` (try --help)");
+                        exit(exit_code::INVALID_INPUT);
+                    }
+                }
+            }
+        }
+        if config.durability.resume && config.durability.snapshot_path.is_none() {
+            eprintln!("--resume needs --snapshot FILE");
+            exit(exit_code::INVALID_INPUT);
+        }
+        config.durability.interrupt = Some(mmaes_sigint::install());
+        // Cipher cores need a deeper warm-up and their load pulse.
+        if design.load.is_some() {
+            config.warmup_cycles = 14;
+        }
+        cli
     }
-    write_chrome_trace(&observer, trace_path.as_deref(), "evaluate", quiet);
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
-    if report.interrupted {
-        eprintln!("interrupted — partial statistics; continue with --snapshot FILE --resume");
-        exit(exit_code::INTERRUPTED);
+
+    /// The observer stack for the telemetry flags, plus the metrics
+    /// server guard, which must stay alive until the summary is
+    /// printed so a scraper can fetch the final state. A Chrome-trace
+    /// export needs the per-phase timings recorded even when `--perf`'s
+    /// stderr table was not asked for.
+    fn observer(&self) -> (Observer, Option<mmaes_telemetry::MetricsServer>) {
+        mmaes_bench::live_observer(&mmaes_bench::LiveObserverOptions {
+            metrics_path: self.metrics_path.as_deref(),
+            progress: self.progress && !self.quiet,
+            perf: self.perf || self.trace_path.is_some(),
+            status_file: self.status_file.as_deref(),
+            metrics_addr: self.metrics_addr.as_deref(),
+            threads: self.config.threads.max(1) as u64,
+            faults: self.config.faults.clone(),
+        })
     }
-    exit(if report.passed() {
-        exit_code::CLEAN
-    } else {
-        exit_code::FINDING
-    });
+
+    /// The campaign on `design`, with its non-zero buses and load pulse.
+    fn campaign<'a>(&self, design: &'a Design, observer: &Observer) -> FixedVsRandom<'a> {
+        let mut campaign = FixedVsRandom::new(&design.netlist, self.config.clone())
+            .with_observer(observer.clone());
+        for bus in &design.nonzero_buses {
+            campaign = campaign.require_nonzero_bus(bus.clone());
+        }
+        if let Some(load) = design.load {
+            campaign = campaign.schedule_control(load, vec![true, false]);
+        }
+        campaign
+    }
+
+    /// The run summary of `report`, a campaign on `design`.
+    fn summary(
+        &self,
+        tool: &str,
+        spec: &str,
+        design: &Design,
+        report: &mmaes_leakage::LeakageReport,
+        stopwatch: &Stopwatch,
+    ) -> RunSummary {
+        RunSummary {
+            tool: tool.to_owned(),
+            id: spec.to_owned(),
+            design: design.netlist.name().to_owned(),
+            schedule: design.schedule.clone(),
+            model: model_name(self.config.model).to_owned(),
+            statistic: self.config.statistic.name().to_owned(),
+            order: self.config.order,
+            traces: report.traces,
+            max_minus_log10_p: report
+                .worst()
+                .map(|result| result.minus_log10_p)
+                .unwrap_or(0.0),
+            passed: report.passed(),
+            wall_ms: stopwatch.elapsed_ms(),
+            traces_per_sec: stopwatch.rate(report.traces),
+            cell_evals: report.cell_evals,
+            interrupted: report.interrupted,
+            threads: self.config.threads.max(1) as u64,
+            schemas: mmaes_bench::schema_versions(),
+            degraded: self.config.faults.degraded(),
+            extra: Vec::new(),
+        }
+    }
+
+    /// Emits `summary`, prints the `--perf` table and the `--trace`
+    /// file, prints the summary as the last stdout line, and exits with
+    /// the verdict's code — or, for an interrupted run, prints
+    /// `interrupted` and exits 3.
+    fn finish(
+        &self,
+        observer: &Observer,
+        summary: &RunSummary,
+        scope: &str,
+        interrupted: &str,
+    ) -> ! {
+        observer.emit(&Event::RunSummary(summary.clone()));
+        if self.perf {
+            eprint!("{}", observer.perf().render_table());
+        }
+        write_chrome_trace(observer, self.trace_path.as_deref(), scope, self.quiet);
+        mmaes_bench::print_summary_last(observer, &summary.to_json_line());
+        if summary.interrupted {
+            eprintln!("{interrupted}");
+            exit(exit_code::INTERRUPTED);
+        }
+        exit(if summary.passed {
+            exit_code::CLEAN
+        } else {
+            exit_code::FINDING
+        });
+    }
 }
 
 /// Writes the observer's frozen perf snapshot as Chrome-trace JSON
@@ -592,138 +669,37 @@ fn write_chrome_trace(observer: &Observer, path: Option<&str>, scope: &str, quie
 /// against the exact enumerator. On the paper's Eq. 6 design this names
 /// the recycled `r1 = r3` randomness and the unmasked `x1, x5`
 /// dependence; on the repaired Eq. 9 design it finds nothing to explain.
-fn explain(arguments: &[String]) {
+fn explain(arguments: &[String], faults: Faults) {
     let Some(spec) = arguments.first() else {
         eprintln!("explain needs a design");
         exit(2);
     };
     let design = build_design(spec);
-    let mut config = EvaluationConfig {
-        checkpoints: 8,
-        ..EvaluationConfig::default()
-    };
     let mut bundles_path: Option<String> = None;
     let mut report_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut status_file: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
     let mut no_exact = false;
     let mut max_bits = ExactConfig::default().max_support_bits;
-    let mut progress = false;
-    let mut perf = false;
-    let mut quiet = false;
-    let mut rest = arguments[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
-        match flag.as_str() {
-            "--model" => {
-                config.model = match value().as_str() {
-                    "glitch" => ProbeModel::Glitch,
-                    "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
-                    other => {
-                        eprintln!("unknown model `{other}`");
-                        exit(exit_code::INVALID_INPUT);
-                    }
-                }
-            }
-            "--order" => {
-                let mut order = 0u64;
-                numeric(&mut order);
-                config.order = order as usize;
-            }
-            "--traces" => numeric(&mut config.traces),
-            "--fixed" => numeric(&mut config.fixed_secret),
-            "--seed" => numeric(&mut config.seed),
-            "--scope" => config.probe_scope_filter = Some(value()),
-            "--checkpoints" => numeric(&mut config.checkpoints),
-            "--threads" => {
-                let mut threads = 0u64;
-                numeric(&mut threads);
-                config.threads = threads as usize;
-            }
-            "--evaluator" => {
-                let name = value();
-                config.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--tabulator" => {
-                let name = value();
-                config.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--statistic" => {
-                let name = value();
-                config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown statistic `{name}` (gtest|ttest)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
+    let cli = CampaignCli::parse(&arguments[1..], &design, faults, |flag, rest, _| {
+        match flag {
             "--no-exact" => no_exact = true,
-            "--max-bits" => {
-                let mut bits = 0u64;
-                numeric(&mut bits);
-                max_bits = bits as usize;
-            }
-            "--bundles" => bundles_path = Some(value()),
-            "--report" => report_path = Some(value()),
-            "--trace" => trace_path = Some(value()),
-            "--metrics" => metrics_path = Some(value()),
-            "--status-file" => status_file = Some(value()),
-            "--metrics-addr" => metrics_addr = Some(value()),
-            "--progress" => progress = true,
-            "--perf" => perf = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
+            "--max-bits" => max_bits = flag_number(flag, rest),
+            "--bundles" => bundles_path = Some(flag_value(flag, rest)),
+            "--report" => report_path = Some(flag_value(flag, rest)),
+            _ => return false,
         }
-    }
-    config.durability.interrupt = Some(mmaes_sigint::install());
-    if design.load.is_some() {
-        config.warmup_cycles = 14;
-    }
-    let campaign_model = config.model;
-    let order = config.order;
-    let statistic = config.statistic;
-    let threads = config.threads.max(1) as u64;
-    let (observer, _metrics_server) =
-        mmaes_bench::live_observer(&mmaes_bench::LiveObserverOptions {
-            metrics_path: metrics_path.as_deref(),
-            progress: progress && !quiet,
-            perf: perf || trace_path.is_some(),
-            status_file: status_file.as_deref(),
-            metrics_addr: metrics_addr.as_deref(),
-            threads,
-        });
-    let stopwatch = Stopwatch::start();
-    let mut campaign = FixedVsRandom::new(&design.netlist, config).with_observer(observer.clone());
-    for bus in &design.nonzero_buses {
-        campaign = campaign.require_nonzero_bus(bus.clone());
-    }
-    if let Some(load) = design.load {
-        campaign = campaign.schedule_control(load, vec![true, false]);
-    }
-    let (report, tables) = campaign.try_run_with_tables().unwrap_or_else(|error| {
-        eprintln!("{error}");
-        exit(exit_code::INVALID_INPUT);
+        true
     });
+    let campaign_model = cli.config.model;
+    let (quiet, progress) = (cli.quiet, cli.progress);
+    let (observer, _metrics_server) = cli.observer();
+    let stopwatch = Stopwatch::start();
+    let (report, tables) = cli
+        .campaign(&design, &observer)
+        .try_run_with_tables()
+        .unwrap_or_else(|error| {
+            eprintln!("{error}");
+            exit(exit_code::INVALID_INPUT);
+        });
     if !quiet {
         println!("{report}");
     }
@@ -801,44 +777,14 @@ fn explain(arguments: &[String]) {
             println!("HTML report written to {path}");
         }
     }
-    let summary = RunSummary {
-        tool: "mmaes explain".to_owned(),
-        id: spec.clone(),
-        design: design.netlist.name().to_owned(),
-        schedule: design.schedule.clone(),
-        model: model_name(campaign_model).to_owned(),
-        statistic: statistic.name().to_owned(),
-        order,
-        traces: report.traces,
-        max_minus_log10_p: report
-            .worst()
-            .map(|result| result.minus_log10_p)
-            .unwrap_or(0.0),
-        passed: report.passed(),
-        wall_ms: stopwatch.elapsed_ms(),
-        traces_per_sec: stopwatch.rate(report.traces),
-        cell_evals: report.cell_evals,
-        interrupted: report.interrupted,
-        threads,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: vec![("findings".to_owned(), bundles.len().to_string())],
-    };
-    observer.emit(&Event::RunSummary(summary.clone()));
-    if perf {
-        eprint!("{}", observer.perf().render_table());
-    }
-    write_chrome_trace(&observer, trace_path.as_deref(), "explain", quiet);
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
-    if report.interrupted {
-        eprintln!("interrupted — partial statistics; no forensics were run");
-        exit(exit_code::INTERRUPTED);
-    }
-    exit(if report.passed() {
-        exit_code::CLEAN
-    } else {
-        exit_code::FINDING
-    });
+    let mut summary = cli.summary("mmaes explain", spec, &design, &report, &stopwatch);
+    summary.extra = vec![("findings".to_owned(), bundles.len().to_string())];
+    cli.finish(
+        &observer,
+        &summary,
+        "explain",
+        "interrupted — partial statistics; no forensics were run",
+    );
 }
 
 /// Runs the exact enumerator on one flagged probing set and folds the
@@ -953,33 +899,17 @@ impl RunOrExit for FixedVsRandom<'_> {
 /// repaired Eq. 9 design stays clean. Any miss — a mutant the detector
 /// fails to flag, or a false positive on Eq. 9 — exits non-zero: if the
 /// tool cannot see planted flaws, its PASS verdicts are worthless.
-fn selftest(arguments: &[String]) {
+fn selftest(arguments: &[String], faults: &Faults) {
     let mut traces = 60_000u64;
     let mut per_kind = 2usize;
     let mut metrics_path: Option<String> = None;
     let mut quiet = false;
     let mut rest = arguments.iter();
     while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
         match flag.as_str() {
-            "--traces" => {
-                traces = value().parse().unwrap_or_else(|error| {
-                    eprintln!("flag --traces: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                })
-            }
-            "--per-kind" => {
-                per_kind = value().parse().unwrap_or_else(|error| {
-                    eprintln!("flag --per-kind: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                })
-            }
-            "--metrics" => metrics_path = Some(value()),
+            "--traces" => traces = flag_number(flag, &mut rest),
+            "--per-kind" => per_kind = flag_number(flag, &mut rest),
+            "--metrics" => metrics_path = Some(flag_value(flag, &mut rest)),
             "--quiet" => quiet = true,
             other => {
                 eprintln!("unknown flag `{other}` (try --help)");
@@ -988,7 +918,7 @@ fn selftest(arguments: &[String]) {
         }
     }
     let interrupt = mmaes_sigint::install();
-    let observer = mmaes_bench::observer_from(metrics_path.as_deref(), false, false);
+    let observer = mmaes_bench::observer_from(metrics_path.as_deref(), false, false, faults);
     let stopwatch = Stopwatch::start();
 
     struct Case {
@@ -1042,6 +972,7 @@ fn selftest(arguments: &[String]) {
                 interrupt: Some(interrupt.clone()),
                 ..Durability::default()
             },
+            faults: faults.clone(),
             ..EvaluationConfig::default()
         };
         let report = FixedVsRandom::new(&case.netlist, config)
@@ -1083,7 +1014,7 @@ fn selftest(arguments: &[String]) {
         traces_per_sec: stopwatch.rate(total_traces),
         interrupted,
         schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
+        degraded: faults.degraded(),
         extra: vec![
             ("cases".to_owned(), cases.len().to_string()),
             ("misses".to_owned(), misses.to_string()),
@@ -1118,7 +1049,8 @@ fn selftest(arguments: &[String]) {
 /// each run that the faults were *contained*: the campaign still
 /// completes, the Eq. 6 finding still emerges, the report is
 /// byte-identical to the fault-free baseline, the degraded subsystems
-/// show up in the registry, and the final snapshot is loadable.
+/// show up on the leg's fault handle, and the final snapshot is
+/// loadable.
 ///
 /// Exit code is the campaign verdict — 1, since Eq. 6 leaks — so CI
 /// can assert the finding survived the chaos. Any containment failure
@@ -1126,8 +1058,6 @@ fn selftest(arguments: &[String]) {
 /// unreadable snapshot means the fault machinery (not the design)
 /// is broken.
 fn chaos(arguments: &[String]) {
-    use mmaes_telemetry::{degraded, failpoint};
-
     /// Worker panics on batch 3 (twice, so the retry path runs twice),
     /// one stalled batch, and enough write errors on the snapshot and
     /// status files to exhaust their retry budgets and force degraded
@@ -1144,37 +1074,26 @@ fn chaos(arguments: &[String]) {
     let mut quiet = false;
     let mut rest = arguments.iter();
     while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
+        let rest = &mut rest;
         match flag.as_str() {
-            "--traces" => numeric(&mut traces),
-            "--seed" => numeric(&mut seed),
-            "--threads" => numeric(&mut max_threads),
+            "--traces" => traces = flag_number(flag, rest),
+            "--seed" => seed = flag_number(flag, rest),
+            "--threads" => max_threads = flag_number(flag, rest),
             "--tabulator" => {
-                let name = value();
+                let name = flag_value(flag, rest);
                 tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
                     eprintln!("unknown tabulator `{name}` (dense|hashed)");
                     exit(exit_code::INVALID_INPUT);
                 });
             }
             "--statistic" => {
-                let name = value();
+                let name = flag_value(flag, rest);
                 statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
                     eprintln!("unknown statistic `{name}` (gtest|ttest)");
                     exit(exit_code::INVALID_INPUT);
                 });
             }
-            "--failpoints" => schedule = value(),
+            "--failpoints" => schedule = flag_value(flag, rest),
             "--quiet" => quiet = true,
             other => {
                 eprintln!("unknown flag `{other}` (try --help)");
@@ -1182,38 +1101,41 @@ fn chaos(arguments: &[String]) {
             }
         }
     }
-    // Validate the schedule before spending any compute on it.
-    if let Err(error) = failpoint::configure(&schedule) {
+    // Parse the schedule once, before spending any compute on it;
+    // every faulted leg runs on a fresh copy of it.
+    let scheduled = mmaes_bench::run_faults(&schedule).unwrap_or_else(|error| {
         eprintln!("--failpoints: {error}");
         exit(exit_code::INVALID_INPUT);
-    }
-    failpoint::clear();
+    });
 
     let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6())
         .expect("generator emits valid netlists");
     let stopwatch = Stopwatch::start();
-    let make_config =
-        |threads: usize, tabulator: TabulatorMode, snapshot: Option<std::path::PathBuf>| {
-            EvaluationConfig {
-                traces,
-                seed,
-                warmup_cycles: 6,
-                checkpoints: 4,
-                threads,
-                tabulator,
-                statistic,
-                durability: Durability {
-                    snapshot_path: snapshot,
-                    ..Durability::default()
-                },
-                ..EvaluationConfig::default()
-            }
-        };
+    let make_config = |threads: usize,
+                       tabulator: TabulatorMode,
+                       snapshot: Option<std::path::PathBuf>,
+                       faults: Faults| EvaluationConfig {
+        traces,
+        seed,
+        warmup_cycles: 6,
+        checkpoints: 4,
+        threads,
+        tabulator,
+        statistic,
+        durability: Durability {
+            snapshot_path: snapshot,
+            ..Durability::default()
+        },
+        faults,
+        ..EvaluationConfig::default()
+    };
 
     // Phase 0: the fault-free baseline every chaos run is judged against.
-    degraded::clear();
-    let baseline =
-        FixedVsRandom::new(&circuit.netlist, make_config(1, tabulator, None)).run_or_exit();
+    let baseline = FixedVsRandom::new(
+        &circuit.netlist,
+        make_config(1, tabulator, None, Faults::default()),
+    )
+    .run_or_exit();
     let baseline_csv = baseline.to_csv();
     let found_leak = !baseline.passed();
     if !quiet {
@@ -1245,25 +1167,30 @@ fn chaos(arguments: &[String]) {
     };
     legs.push((*thread_counts.iter().max().unwrap_or(&1), other_store));
     let mut failures: Vec<String> = Vec::new();
+    // The summary reports the last leg's degraded subsystems.
+    let mut entries = Vec::new();
     for &(threads, tabulator) in &legs {
         let store = tabulator.name();
         let snapshot_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}-{store}.snapshot"));
         let status_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}-{store}-status.json"));
         let _ = std::fs::remove_file(&snapshot_path);
         let _ = std::fs::remove_file(&status_path);
-        degraded::clear();
-        failpoint::configure(&schedule).expect("schedule validated above");
+        let faults = scheduled.fresh();
         let observer = Observer::from_sinks(vec![Box::new(
-            mmaes_telemetry::StatusFileSink::create(&status_path, threads as u64),
+            mmaes_telemetry::StatusFileSink::create(&status_path, threads as u64, faults.clone()),
         )]);
         let result = FixedVsRandom::new(
             &circuit.netlist,
-            make_config(threads, tabulator, Some(snapshot_path.clone())),
+            make_config(
+                threads,
+                tabulator,
+                Some(snapshot_path.clone()),
+                faults.clone(),
+            ),
         )
         .with_observer(observer)
         .try_run();
-        failpoint::clear();
-        let entries = degraded::snapshot();
+        entries = faults.degraded();
         match &result {
             Ok(report) => {
                 if report.to_csv() != baseline_csv {
@@ -1338,7 +1265,7 @@ fn chaos(arguments: &[String]) {
         wall_ms: stopwatch.elapsed_ms(),
         threads: *thread_counts.iter().max().unwrap_or(&1) as u64,
         schemas: mmaes_bench::schema_versions(),
-        degraded: degraded::snapshot(),
+        degraded: entries,
         extra: vec![
             ("failpoints".to_owned(), schedule.clone()),
             (
@@ -1374,7 +1301,7 @@ fn model_name(model: ProbeModel) -> &'static str {
     }
 }
 
-fn verify(arguments: &[String]) {
+fn verify(arguments: &[String], faults: &Faults) {
     let Some(spec) = arguments.first() else {
         eprintln!("verify needs a design");
         exit(2);
@@ -1391,20 +1318,17 @@ fn verify(arguments: &[String]) {
     let mut quiet = false;
     let mut rest = arguments[1..].iter();
     while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(2);
-            })
-        };
+        let rest = &mut rest;
         match flag.as_str() {
             "--scope" => {
-                let scope = value();
+                let scope = flag_value(flag, rest);
                 config.probe_scope_filter = if scope == "all" { None } else { Some(scope) };
             }
-            "--max-bits" => config.max_support_bits = value().parse().expect("numeric"),
+            "--max-bits" => {
+                config.max_support_bits = flag_value(flag, rest).parse().expect("numeric")
+            }
             "--transition" => config.model = ProbeModel::GlitchTransition,
-            "--metrics" => metrics_path = Some(value()),
+            "--metrics" => metrics_path = Some(flag_value(flag, rest)),
             "--progress" => progress = true,
             "--perf" => perf = true,
             "--quiet" => quiet = true,
@@ -1415,7 +1339,8 @@ fn verify(arguments: &[String]) {
         }
     }
     let model = model_name(config.model);
-    let observer = mmaes_bench::observer_from(metrics_path.as_deref(), progress && !quiet, perf);
+    let observer =
+        mmaes_bench::observer_from(metrics_path.as_deref(), progress && !quiet, perf, faults);
     let stopwatch = Stopwatch::start();
     let report = ExactVerifier::with_config(&design.netlist, config)
         .with_observer(observer.clone())
@@ -1433,7 +1358,7 @@ fn verify(arguments: &[String]) {
         wall_ms: stopwatch.elapsed_ms(),
         cell_evals: report.cell_evals,
         schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
+        degraded: faults.degraded(),
         extra: vec![
             ("secure".to_owned(), report.secure_count().to_string()),
             ("leaky".to_owned(), report.leaks().len().to_string()),

@@ -66,9 +66,28 @@ pub mod exit_code {
     pub const INTERRUPTED: i32 = 3;
 }
 use mmaes_telemetry::{
-    Event, HumanProgressSink, JsonlSink, MetricsRegistry, MetricsServer, MetricsSink, Observer,
-    PerfRecorder, RunSummary, Sink, StatusFileSink, Stopwatch,
+    Event, Faults, HumanProgressSink, JsonlSink, MetricsRegistry, MetricsServer, MetricsSink,
+    Observer, PerfRecorder, RunSummary, Sink, StatusFileSink, Stopwatch,
 };
+
+/// Environment override for the stalled-worker threshold, in
+/// milliseconds — chaos tests shrink it so scripted stalls trip the
+/// watchdog fast.
+const STALL_TIMEOUT_ENV: &str = "MMAES_STALL_TIMEOUT_MS";
+
+/// One run's fault handle: `spec`'s failpoint schedule, with the
+/// stall threshold from `MMAES_STALL_TIMEOUT_MS` when set and parseable.
+///
+/// # Errors
+///
+/// The first malformed entry of `spec`.
+pub fn run_faults(spec: &str) -> Result<Faults, String> {
+    let stall_timeout_ms = std::env::var(STALL_TIMEOUT_ENV)
+        .ok()
+        .and_then(|value| value.trim().parse().ok())
+        .unwrap_or(mmaes_telemetry::faults::DEFAULT_STALL_TIMEOUT_MS);
+    Ok(Faults::parse(spec)?.with_stall_timeout_ms(stall_timeout_ms))
+}
 
 /// The schema versions of every machine-readable artifact this crate
 /// can produce, in the form the [`RunSummary::schemas`] `build_info`
@@ -199,6 +218,9 @@ impl RunOptions {
             }
         }
         mmaes_sigint::install();
+        // The experiment binaries take no fault schedule; their handle
+        // carries the stall threshold and collects degraded marks.
+        budget.faults = run_faults("").expect("an empty schedule parses");
         let (observer, server) = live_observer(&LiveObserverOptions {
             metrics_path: metrics_path.as_deref(),
             progress: progress && !quiet,
@@ -206,6 +228,7 @@ impl RunOptions {
             status_file: status_file.as_deref(),
             metrics_addr: metrics_addr.as_deref(),
             threads: budget.threads.max(1) as u64,
+            faults: budget.faults.clone(),
         });
         RunOptions {
             budget,
@@ -218,8 +241,8 @@ impl RunOptions {
 
     /// A [`RunSummary`] prefilled with everything the shared scaffolding
     /// already knows — wall clock, throughput, thread count, statistic,
-    /// artifact schema versions, the degraded registry and the interrupt
-    /// flag. Callers fill in the verdict fields (`passed`, `traces`,
+    /// artifact schema versions, the run's degraded marks and the
+    /// interrupt flag. Callers fill in the verdict fields (`passed`, `traces`,
     /// `max_minus_log10_p`, …) and hand the result to [`finish_with`].
     ///
     /// [`finish_with`]: RunOptions::finish_with
@@ -234,7 +257,7 @@ impl RunOptions {
             interrupted: mmaes_sigint::interrupted(),
             threads: self.budget.threads.max(1) as u64,
             schemas: schema_versions(),
-            degraded: mmaes_telemetry::degraded::snapshot(),
+            degraded: self.budget.faults.degraded(),
             ..RunSummary::default()
         }
     }
@@ -356,12 +379,19 @@ pub fn unwrap_campaign<T>(result: Result<T, mmaes_leakage::CampaignError>) -> T 
 /// sink when `metrics_path` is given, a throttled human progress sink
 /// when `progress` is set, the zero-cost null observer otherwise. With
 /// `perf` an enabled [`PerfRecorder`] is attached, so instrumented code
-/// records per-phase timings even when no sink is listening.
-pub fn observer_from(metrics_path: Option<&str>, progress: bool, perf: bool) -> Observer {
+/// records per-phase timings even when no sink is listening. The
+/// JSON-lines sink consults and marks `faults`.
+pub fn observer_from(
+    metrics_path: Option<&str>,
+    progress: bool,
+    perf: bool,
+    faults: &Faults,
+) -> Observer {
     let (observer, _) = live_observer(&LiveObserverOptions {
         metrics_path,
         progress,
         perf,
+        faults: faults.clone(),
         ..LiveObserverOptions::default()
     });
     observer
@@ -386,6 +416,10 @@ pub struct LiveObserverOptions<'a> {
     /// Worker-thread count recorded in the status payload's `runtime`
     /// block (0 is treated as 1).
     pub threads: u64,
+    /// The run's fault handle: every file sink consults its failpoints
+    /// and marks it when degraded; the status documents render its
+    /// marks.
+    pub faults: Faults,
 }
 
 /// Builds the full observer stack, including the live-status layer.
@@ -402,7 +436,7 @@ pub fn live_observer(options: &LiveObserverOptions<'_>) -> (Observer, Option<Met
     let threads = options.threads.max(1);
     let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
     if let Some(path) = options.metrics_path {
-        match JsonlSink::create(path) {
+        match JsonlSink::create(path, options.faults.clone()) {
             Ok(sink) => sinks.push(Box::new(sink)),
             Err(error) => {
                 eprintln!("cannot open metrics file {path}: {error}");
@@ -414,7 +448,11 @@ pub fn live_observer(options: &LiveObserverOptions<'_>) -> (Observer, Option<Met
         sinks.push(Box::new(HumanProgressSink::new()));
     }
     if let Some(path) = options.status_file {
-        sinks.push(Box::new(StatusFileSink::create(path, threads)));
+        sinks.push(Box::new(StatusFileSink::create(
+            path,
+            threads,
+            options.faults.clone(),
+        )));
     }
     let mut server = None;
     if let Some(addr) = options.metrics_addr {
@@ -422,7 +460,11 @@ pub fn live_observer(options: &LiveObserverOptions<'_>) -> (Observer, Option<Met
         match MetricsServer::serve(addr, registry.clone()) {
             Ok(bound) => {
                 eprintln!("metrics: listening on http://{}", bound.local_addr());
-                sinks.push(Box::new(MetricsSink::new(registry, threads)));
+                sinks.push(Box::new(MetricsSink::new(
+                    registry,
+                    threads,
+                    options.faults.clone(),
+                )));
                 server = Some(bound);
             }
             Err(error) => {

@@ -1,6 +1,7 @@
 //! Workload scaling for the experiment suite.
 
 use mmaes_leakage::{StatisticKind, TabulatorMode};
+use mmaes_telemetry::Faults;
 
 /// How much compute each experiment may spend.
 ///
@@ -9,7 +10,7 @@ use mmaes_leakage::{StatisticKind, TabulatorMode};
 /// a workstation. The defaults here reproduce every qualitative verdict
 /// in seconds-to-minutes on a laptop; [`ExperimentBudget::paper_scale`]
 /// restores the paper's numbers for a faithful (slow) rerun.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ExperimentBudget {
     /// Traces for first-order statistical campaigns (paper: 4,000,000).
     pub first_order_traces: u64,
@@ -60,6 +61,11 @@ pub struct ExperimentBudget {
     /// PROLEAD-style G-test the paper's numbers come from, or the
     /// TVLA-style Welch t-test for cross-methodology comparison.
     pub statistic: StatisticKind,
+    /// The run's fault handle, shared by every campaign (see
+    /// [`mmaes_leakage::EvaluationConfig::faults`]): the experiment
+    /// binaries set its stall threshold and read its degraded marks
+    /// into their summary.
+    pub faults: Faults,
 }
 
 impl Default for ExperimentBudget {
@@ -79,6 +85,7 @@ impl Default for ExperimentBudget {
             threads: 1,
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
+            faults: Faults::default(),
         }
     }
 }
@@ -101,6 +108,7 @@ impl ExperimentBudget {
             threads: 1,
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
+            faults: Faults::default(),
         }
     }
 
@@ -121,6 +129,7 @@ impl ExperimentBudget {
             threads: 1,
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
+            faults: Faults::default(),
         }
     }
 }

@@ -73,6 +73,7 @@ fn kronecker_eval(
         threads: budget.threads,
         tabulator: budget.tabulator,
         statistic: budget.statistic,
+        faults: budget.faults.clone(),
         durability: campaign_durability(
             budget,
             &format!("kronecker-{}-{}-o{order}", schedule.name(), model.name()),
@@ -109,6 +110,7 @@ fn sbox_eval(
         threads: budget.threads,
         tabulator: budget.tabulator,
         statistic: budget.statistic,
+        faults: budget.faults.clone(),
         durability: campaign_durability(budget, &label),
         ..EvaluationConfig::default()
     };
@@ -699,6 +701,7 @@ pub fn run_e12(
             threads: budget.threads,
             tabulator: budget.tabulator,
             statistic: budget.statistic,
+            faults: budget.faults.clone(),
             durability: campaign_durability(budget, &format!("aes-{}", schedule.name())),
             ..EvaluationConfig::default()
         };

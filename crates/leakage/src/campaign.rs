@@ -424,7 +424,7 @@ impl<'a> FixedVsRandom<'a> {
                 &state.flagged,
                 &state.trajectories,
             );
-            if let Err(error) = snapshot::save_with_retry(&saved, path) {
+            if let Err(error) = snapshot::save_with_retry(&saved, path, &config.faults) {
                 if run_result.is_ok() {
                     // A healthy run whose final state cannot be
                     // persisted is a typed error: the caller asked for
@@ -433,10 +433,9 @@ impl<'a> FixedVsRandom<'a> {
                 }
                 // The run error is the root cause and wins; record the
                 // failed emergency flush alongside it.
-                mmaes_telemetry::degraded::mark(
-                    "snapshot",
-                    &format!("emergency flush failed: {error}"),
-                );
+                config
+                    .faults
+                    .mark("snapshot", &format!("emergency flush failed: {error}"));
             }
         }
         run_result?;
@@ -565,9 +564,8 @@ impl<'a> FixedVsRandom<'a> {
                 std::mem::take(&mut probe_healths),
                 traces,
                 batches * LANES as u64,
-                config.threshold,
                 fresh_bits_per_trace,
-                config.statistic,
+                config,
                 CHECKPOINT_TOP_PROBES,
             )));
         }

@@ -9,6 +9,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use mmaes_sim::EvaluatorMode;
+use mmaes_telemetry::Faults;
 
 use crate::probe::ProbeModel;
 use crate::stats::StatisticKind;
@@ -155,6 +156,13 @@ pub struct EvaluationConfig {
     /// Crash-safety options: snapshotting, resume, cooperative
     /// interruption. Defaults to all-off (no behavior change).
     pub durability: Durability,
+    /// The run's fault handle: the failpoint schedule the supervised
+    /// workers and snapshot saves consult, the record every degraded
+    /// subsystem is marked on, and the stalled-worker threshold. The
+    /// default is inert and private to this configuration (and its
+    /// clones). Not part of the snapshot fingerprint: faults never
+    /// change a report.
+    pub faults: Faults,
 }
 
 /// Early stop triggers at `DECISIVE_MARGIN × threshold` running
@@ -183,6 +191,7 @@ impl Default for EvaluationConfig {
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
             durability: Durability::default(),
+            faults: Faults::default(),
         }
     }
 }

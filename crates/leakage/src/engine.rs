@@ -239,7 +239,7 @@ pub(crate) struct CampaignState {
     pub(crate) interrupted: bool,
     /// Checkpoint snapshot writes exhausted their retry budget: skip
     /// further interim saves (the final save is still attempted) and
-    /// surface the outage via the degraded registry.
+    /// mark the outage on the fault handle.
     pub(crate) snapshot_degraded: bool,
     pub(crate) last_stats: SimStats,
     pub(crate) last_elapsed_ms: u64,
@@ -298,7 +298,7 @@ fn run_batch_supervised<'a>(
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match supervisor::supervised(batch, || {
+        match supervisor::supervised(batch, &engine.config.faults, || {
             engine.run_batch(sim, batch, perf, &mut observations)
         }) {
             Ok((lane_groups, stats)) => {
@@ -623,9 +623,8 @@ impl Engine<'_> {
                     probe_healths,
                     traces_so_far,
                     context.batches * LANES as u64,
-                    config.threshold,
                     context.fresh_bits_per_trace,
-                    config.statistic,
+                    config,
                     CHECKPOINT_TOP_PROBES,
                 )));
             }
@@ -642,13 +641,13 @@ impl Engine<'_> {
                         &state.flagged,
                         &state.trajectories,
                     );
-                    if let Err(error) = snapshot::save_with_retry(&saved, path) {
+                    if let Err(error) = snapshot::save_with_retry(&saved, path, &config.faults) {
                         // Interim saves are an amenity; losing them must
                         // not kill a healthy campaign. Degrade: skip
                         // further interim saves (the final save is still
                         // attempted) and surface the outage.
                         state.snapshot_degraded = true;
-                        mmaes_telemetry::degraded::mark(
+                        config.faults.mark(
                             "snapshot",
                             &format!("checkpoint at batch {}: {error}", state.batches_done),
                         );
@@ -717,9 +716,9 @@ impl Engine<'_> {
     /// campaign returns [`CampaignError::Worker`] with the state at the
     /// last folded batch — a contiguous prefix, so the emergency
     /// snapshot stays valid. The coordinator doubles as a heartbeat
-    /// watchdog, flagging workers whose in-flight batch is overdue into
-    /// the degraded registry (advisory only — wall-clock diagnostics
-    /// never reach the report).
+    /// watchdog, marking workers whose in-flight batch is overdue as
+    /// degraded on the campaign's fault handle (advisory only —
+    /// wall-clock diagnostics never reach the report).
     ///
     /// Each worker records perf into its own recorder, merged into the
     /// campaign recorder at join (per-phase totals then sum CPU time
@@ -733,7 +732,8 @@ impl Engine<'_> {
         let next_batch = AtomicU64::new(state.batches_done);
         let stop = AtomicBool::new(false);
         let heartbeats = supervisor::Heartbeats::new(threads);
-        let stall_timeout_ms = supervisor::stall_timeout_ms();
+        let faults = &self.config.faults;
+        let stall_timeout_ms = faults.stall_timeout_ms();
         // First fatal worker verdict wins; later ones are dropped.
         let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
         let spare: Mutex<Vec<Observations>> = Mutex::new(Vec::new());
@@ -814,10 +814,7 @@ impl Engine<'_> {
                         for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
                             if !flagged_stall[worker] {
                                 flagged_stall[worker] = true;
-                                mmaes_telemetry::degraded::mark(
-                                    "worker",
-                                    &format!("worker {worker}: {fault}"),
-                                );
+                                faults.mark("worker", &format!("worker {worker}: {fault}"));
                             }
                         }
                         if lock(&fatal).is_some() {

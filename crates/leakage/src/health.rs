@@ -29,7 +29,8 @@
 
 use mmaes_telemetry::{HealthCheckpoint, ProbeHealth};
 
-use crate::stats::{PoolingSummary, StatisticKind};
+use crate::config::EvaluationConfig;
+use crate::stats::PoolingSummary;
 
 /// Minimum expected cell count below which the χ² approximation of
 /// the G statistic is considered unreliable (Cochran's rule).
@@ -123,14 +124,15 @@ pub fn probe_health(
 /// (the same cut as checkpoint events); aggregate counts cover *all*
 /// sets. `testable_sets` counts sets whose pooled table supports a
 /// test at all (`min_expected > 0`, see
-/// [`crate::stats::PoolingSummary::testable`]).
+/// [`crate::stats::PoolingSummary::testable`]). The threshold and
+/// statistic come from `config`, and so do the degraded subsystems:
+/// the marks on its fault handle.
 pub fn assess(
     probes: Vec<ProbeHealth>,
     traces: u64,
     traces_target: u64,
-    threshold: f64,
     fresh_bits_per_trace: u64,
-    statistic: StatisticKind,
+    config: &EvaluationConfig,
     top: usize,
 ) -> HealthCheckpoint {
     let probe_sets = probes.len() as u64;
@@ -154,10 +156,10 @@ pub fn assess(
     HealthCheckpoint {
         traces,
         traces_target,
-        threshold,
+        threshold: config.threshold,
         // Event schema v8: the statistic name rides along so health
         // consumers know which test produced the -log10(p) values.
-        statistic: statistic.name().to_owned(),
+        statistic: config.statistic.name().to_owned(),
         probe_sets,
         testable_sets,
         undersampled_sets,
@@ -168,7 +170,7 @@ pub fn assess(
         // Fault containment (event schema v7): subsystems that fell
         // back to in-memory operation. Empty on a clean run, so the
         // payload stays deterministic across `--threads`.
-        degraded: mmaes_telemetry::degraded::snapshot(),
+        degraded: config.faults.degraded(),
     }
 }
 
@@ -253,7 +255,7 @@ mod tests {
             probe_health("b", &sparse, 0.0, &[], 1000, 5.0),
             probe_health("c", &dense, 9.0, &[(500, 6.0)], 1000, 5.0),
         ];
-        let health = assess(probes, 1000, 2000, 5.0, 24, StatisticKind::GTest, 2);
+        let health = assess(probes, 1000, 2000, 24, &EvaluationConfig::default(), 2);
         assert_eq!(health.statistic, "gtest");
         assert_eq!(health.probe_sets, 3);
         assert_eq!(health.testable_sets, 2);

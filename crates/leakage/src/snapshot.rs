@@ -48,6 +48,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use mmaes_telemetry::faults::{retry, Faults};
+
 use crate::stats::StatisticKind;
 
 /// Newest version of the snapshot file format. Bumped on any layout
@@ -399,6 +401,12 @@ impl CampaignSnapshot {
 ///
 /// [`SnapshotError::Io`] with the failing path in the message.
 pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
+    write_text(&snapshot.to_text(), path, None)
+}
+
+/// The atomic write behind [`save`], with an optional fault handle
+/// whose `snapshot.save` failpoint strikes before the real write.
+fn write_text(text: &str, path: &Path, faults: Option<&Faults>) -> Result<(), SnapshotError> {
     let io_error = |context: &str, error: std::io::Error| {
         SnapshotError::Io(format!("{context} {}: {error}", path.display()))
     };
@@ -406,18 +414,14 @@ pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotErro
     // Deterministic fault injection (`--failpoints snapshot.save=...`):
     // the chaos harness strikes here, before the real write, so an
     // injected ENOSPC or truncation never corrupts the destination.
-    // Guarded on `active()` so the inactive fast path never pays for
-    // the serialized payload.
-    if mmaes_telemetry::failpoint::active() {
-        mmaes_telemetry::failpoint::inject_io(
-            "snapshot.save",
-            Some((&tmp, snapshot.to_text().as_bytes())),
-        )
-        .map_err(|error| io_error("write", error))?;
+    if let Some(faults) = faults {
+        faults
+            .inject_io("snapshot.save", Some((&tmp, text.as_bytes())))
+            .map_err(|error| io_error("write", error))?;
     }
     {
         let mut file = fs::File::create(&tmp).map_err(|error| io_error("create", error))?;
-        file.write_all(snapshot.to_text().as_bytes())
+        file.write_all(text.as_bytes())
             .map_err(|error| io_error("write", error))?;
         file.sync_all().map_err(|error| io_error("fsync", error))?;
     }
@@ -431,12 +435,18 @@ pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotErro
     Ok(())
 }
 
-/// [`save`] with the bounded retry-with-backoff budget of
-/// [`mmaes_telemetry::degraded::retry`]: transient failures (or a
-/// bounded fault schedule) recover invisibly; persistent ones surface
-/// the last error so the caller can degrade or propagate.
-pub fn save_with_retry(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
-    mmaes_telemetry::degraded::retry(|| save(snapshot, path))
+/// [`save`] under the campaign's fault handle, with the bounded
+/// retry-with-backoff budget of [`mmaes_telemetry::faults::retry`]:
+/// transient failures (or a bounded fault schedule) recover invisibly;
+/// persistent ones surface the last error so the caller can degrade or
+/// propagate.
+pub fn save_with_retry(
+    snapshot: &CampaignSnapshot,
+    path: &Path,
+    faults: &Faults,
+) -> Result<(), SnapshotError> {
+    let text = snapshot.to_text();
+    retry(|| write_text(&text, path, Some(faults)))
 }
 
 /// Removes a stale `.tmp` sibling left next to `path` by a crash
@@ -584,9 +594,6 @@ mod tests {
 
     #[test]
     fn save_and_load_through_a_file() {
-        // Hold the failpoint gate: the fault tests below share this
-        // process and must not inject into this save.
-        let _guard = mmaes_telemetry::failpoint::scoped("");
         let directory = std::env::temp_dir().join("mmaes-snapshot-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("roundtrip.snapshot");
@@ -605,11 +612,11 @@ mod tests {
         // A persistent I/O failure (modelling ENOSPC) must exhaust the
         // retry budget, surface a typed error, and leave nothing — no
         // destination, no `.tmp` — behind.
-        let _guard = mmaes_telemetry::failpoint::scoped("snapshot.save=ioerr x*");
+        let faults = Faults::parse("snapshot.save=ioerr x*").unwrap();
         let directory = std::env::temp_dir().join("mmaes-snapshot-enospc-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("full-disk.snapshot");
-        let error = save_with_retry(&sample(), &path).expect_err("injected ENOSPC");
+        let error = save_with_retry(&sample(), &path, &faults).expect_err("injected ENOSPC");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("injected"), "{error}");
         assert!(!path.exists(), "no snapshot file under persistent ENOSPC");
@@ -620,11 +627,11 @@ mod tests {
     fn bounded_faults_recover_within_the_retry_budget() {
         // Two injected failures, a budget of three attempts: the
         // campaign never notices.
-        let _guard = mmaes_telemetry::failpoint::scoped("snapshot.save=ioerr x2");
+        let faults = Faults::parse("snapshot.save=ioerr x2").unwrap();
         let directory = std::env::temp_dir().join("mmaes-snapshot-retry-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("transient.snapshot");
-        save_with_retry(&sample(), &path).expect("third attempt lands");
+        save_with_retry(&sample(), &path, &faults).expect("third attempt lands");
         assert_eq!(load(&path).expect("loads"), sample());
         fs::remove_file(&path).ok();
     }
@@ -632,10 +639,14 @@ mod tests {
     #[test]
     fn truncated_writes_leave_the_previous_snapshot_intact() {
         // `@2`: the first save succeeds, the second is torn mid-write.
-        let _guard = mmaes_telemetry::failpoint::scoped("snapshot.save=truncate@2");
+        let faults = Faults::parse("snapshot.save=truncate@2").unwrap();
         let directory = std::env::temp_dir().join("mmaes-snapshot-truncate-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("torn.snapshot");
+        // One un-retried save attempt under the handle.
+        let save = |snapshot: &CampaignSnapshot, path: &Path| {
+            write_text(&snapshot.to_text(), path, Some(&faults))
+        };
         save(&sample(), &path).expect("first save lands");
         let error = save(&sample(), &path).expect_err("second save is torn");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
@@ -664,7 +675,8 @@ mod tests {
             .join("mmaes-snapshot-missing-dir-test")
             .join("nonexistent")
             .join("x.snapshot");
-        let error = save_with_retry(&sample(), &path).expect_err("unwritable directory");
+        let error = save_with_retry(&sample(), &path, &Faults::default())
+            .expect_err("unwritable directory");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("create"), "{error}");
     }

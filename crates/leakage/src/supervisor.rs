@@ -15,26 +15,18 @@
 //! batch-order folding sees each batch exactly once. Reports therefore
 //! stay byte-identical across thread counts *and* injected faults.
 //! Stall detection is the one wall-clock-based diagnostic here, which
-//! is why it is advisory only: it lands in the
-//! [`mmaes_telemetry::degraded`] registry, never in the report.
+//! is why it is advisory only: it is marked degraded on the campaign's
+//! [`Faults`] handle, never in the report.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mmaes_telemetry::failpoint::{self, Fault};
+use mmaes_telemetry::{Fault, Faults};
 
 /// Total attempts a batch gets before its fault becomes fatal: the
 /// first run plus three retries.
 pub const MAX_ATTEMPTS: u32 = 4;
-
-/// Default stalled-worker threshold: a batch in flight longer than this
-/// is flagged (advisory) in the degraded registry.
-pub const DEFAULT_STALL_TIMEOUT_MS: u64 = 2000;
-
-/// Environment override for the stall threshold (milliseconds) —
-/// chaos tests shrink it so scripted stalls trip the watchdog fast.
-pub const STALL_TIMEOUT_ENV: &str = "MMAES_STALL_TIMEOUT_MS";
 
 /// A contained fault from one batch attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,25 +73,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one batch attempt inside the panic boundary, honoring the
-/// `worker` failpoint keyed by batch index (`worker=panic@3` panics
-/// batch 3's next attempt; `worker=stall(250)@5` delays batch 5 by
-/// 250 ms and then runs it normally).
-pub fn supervised<T>(batch: u64, work: impl FnOnce() -> T) -> Result<T, WorkerFault> {
+/// `worker` failpoint of `faults` keyed by batch index
+/// (`worker=panic@3` panics batch 3's next attempt;
+/// `worker=stall(250)@5` delays batch 5 by 250 ms and then runs it
+/// normally).
+pub fn supervised<T>(
+    batch: u64,
+    faults: &Faults,
+    work: impl FnOnce() -> T,
+) -> Result<T, WorkerFault> {
     let attempt = move || {
-        if failpoint::active() {
-            match failpoint::check_at("worker", batch) {
-                Some(Fault::Panic) => panic!("injected panic (failpoint worker, batch {batch})"),
-                Some(Fault::Stall(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                // I/O faults make no sense inside a pure compute batch;
-                // treat them as panics so a misconfigured schedule is
-                // loud rather than silently ignored.
-                Some(Fault::Io) | Some(Fault::Truncate) => {
-                    panic!("injected fault (failpoint worker, batch {batch})")
-                }
-                None => {}
+        match faults.check_at("worker", batch) {
+            Some(Fault::Panic) => panic!("injected panic (failpoint worker, batch {batch})"),
+            Some(Fault::Stall(ms)) => {
+                std::thread::sleep(std::time::Duration::from_millis(ms));
             }
+            // I/O faults make no sense inside a pure compute batch;
+            // treat them as panics so a misconfigured schedule is
+            // loud rather than silently ignored.
+            Some(Fault::Io) | Some(Fault::Truncate) => {
+                panic!("injected fault (failpoint worker, batch {batch})")
+            }
+            None => {}
         }
         work()
     };
@@ -117,15 +112,6 @@ pub fn supervised<T>(batch: u64, work: impl FnOnce() -> T) -> Result<T, WorkerFa
 /// to be invisible against batch runtimes.
 pub fn backoff_ms(attempt: u32) -> u64 {
     1u64 << (attempt.saturating_sub(1)).min(6)
-}
-
-/// The configured stall threshold: [`STALL_TIMEOUT_ENV`] when set and
-/// parseable, [`DEFAULT_STALL_TIMEOUT_MS`] otherwise.
-pub fn stall_timeout_ms() -> u64 {
-    std::env::var(STALL_TIMEOUT_ENV)
-        .ok()
-        .and_then(|value| value.trim().parse().ok())
-        .unwrap_or(DEFAULT_STALL_TIMEOUT_MS)
 }
 
 /// Sentinel heartbeat value: the worker is idle (between batches).
@@ -203,10 +189,10 @@ mod tests {
 
     #[test]
     fn supervised_contains_panics_as_typed_faults() {
-        let _guard = failpoint::scoped("");
-        let ok = supervised(0, || 41 + 1);
+        let faults = Faults::default();
+        let ok = supervised(0, &faults, || 41 + 1);
         assert_eq!(ok, Ok(42));
-        let fault = supervised(7, || -> u32 { panic!("boom") });
+        let fault = supervised(7, &faults, || -> u32 { panic!("boom") });
         assert_eq!(
             fault,
             Err(WorkerFault::Panic {
@@ -218,11 +204,23 @@ mod tests {
 
     #[test]
     fn worker_failpoint_is_keyed_by_batch_index() {
-        let _guard = failpoint::scoped("worker=panic@3x2");
-        assert!(supervised(2, || ()).is_ok(), "other batches untouched");
-        assert!(supervised(3, || ()).is_err(), "first attempt fires");
-        assert!(supervised(3, || ()).is_err(), "second attempt fires");
-        assert!(supervised(3, || ()).is_ok(), "budget of 2 exhausted");
+        let faults = Faults::parse("worker=panic@3x2").unwrap();
+        assert!(
+            supervised(2, &faults, || ()).is_ok(),
+            "other batches untouched"
+        );
+        assert!(
+            supervised(3, &faults, || ()).is_err(),
+            "first attempt fires"
+        );
+        assert!(
+            supervised(3, &faults, || ()).is_err(),
+            "second attempt fires"
+        );
+        assert!(
+            supervised(3, &faults, || ()).is_ok(),
+            "budget of 2 exhausted"
+        );
     }
 
     #[test]

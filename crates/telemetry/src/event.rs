@@ -1,6 +1,6 @@
 //! The typed event schema (documented in DESIGN.md § Observability).
 
-use crate::degraded::{self, DegradedEntry};
+use crate::faults::{degraded_json, DegradedEntry};
 use crate::json::{array, JsonObject};
 use crate::perf::PerfSnapshot;
 
@@ -156,7 +156,7 @@ impl HealthCheckpoint {
                 "probes",
                 &array(self.probes.iter().map(ProbeHealth::to_json)),
             )
-            .raw("degraded", &degraded::to_json(&self.degraded))
+            .raw("degraded", &degraded_json(&self.degraded))
     }
 
     /// Renders the health block as a standalone JSON object (the
@@ -233,8 +233,8 @@ pub struct RunSummary {
     pub schemas: Vec<(String, u64)>,
     /// Subsystems that degraded to in-memory operation during the run
     /// (schema v7); empty on a clean run. Producers typically fill
-    /// this from [`crate::degraded::snapshot`] when building the
-    /// summary.
+    /// this from the run's [`crate::Faults::degraded`] when building
+    /// the summary.
     pub degraded: Vec<DegradedEntry>,
     /// Free-form extras appended to the JSON object.
     pub extra: Vec<(String, String)>,
@@ -277,7 +277,7 @@ impl RunSummary {
             .raw("build_info", &build_info.finish())
             // Fault containment (schema v7): `[]` unless a subsystem
             // exhausted its retry budget and fell back to in-memory.
-            .raw("degraded", &degraded::to_json(&self.degraded));
+            .raw("degraded", &degraded_json(&self.degraded));
         for (key, value) in &self.extra {
             object = object.string(key, value);
         }

@@ -29,12 +29,12 @@
 //!   and an optional `--metrics-addr` server on `std::net` serving
 //!   `/metrics` and `/status`, plus a crash-safe `--status-file` sink
 //!   atomically rewritten at every checkpoint;
-//! * a fault-containment layer ([`failpoint`], [`degraded`]): a
-//!   deterministic fault-injection registry (`MMAES_FAILPOINTS` /
-//!   `--failpoints`) consulted by resilient sinks and campaign
-//!   workers, and a degraded-subsystem registry feeding the
-//!   `degraded` block in status documents, health events, and run
-//!   summaries.
+//! * a fault-containment layer ([`faults`]): one cloneable per-run
+//!   [`Faults`] handle carrying the deterministic fault schedule
+//!   (`MMAES_FAILPOINTS` / `--failpoints`) that resilient sinks and
+//!   campaign workers consult, the degraded-subsystem marks feeding
+//!   the `degraded` block in status documents, health events, and run
+//!   summaries, and the stalled-worker threshold.
 //!
 //! The crate is dependency-light by design: events serialize through a
 //! hand-rolled JSON writer ([`json`]), so every downstream crate can
@@ -45,9 +45,8 @@
 
 pub mod chrome_trace;
 mod counters;
-pub mod degraded;
 mod event;
-pub mod failpoint;
+pub mod faults;
 pub mod json;
 pub mod metrics;
 mod observer;
@@ -57,11 +56,10 @@ pub mod status;
 
 pub use chrome_trace::{chrome_trace, ChromeTraceBuilder};
 pub use counters::{interval_rate, Counter, Stopwatch};
-pub use degraded::DegradedEntry;
 pub use event::{
     Checkpoint, Event, HealthCheckpoint, ProbeHealth, ProbePoint, RunSummary, EVENT_SCHEMA_VERSION,
 };
-pub use failpoint::Fault;
+pub use faults::{DegradedEntry, Fault, Faults};
 pub use metrics::{MetricsRegistry, MetricsServer, MetricsSink};
 pub use observer::Observer;
 pub use perf::{PerfRecorder, PerfSnapshot, PhaseStats, Span};

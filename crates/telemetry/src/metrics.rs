@@ -206,11 +206,12 @@ pub struct MetricsSink {
 impl MetricsSink {
     /// A sink feeding `registry`. `threads` is the producing run's
     /// worker-thread count (0 when unknown), reported in the status
-    /// document's `runtime` section.
-    pub fn new(registry: MetricsRegistry, threads: u64) -> Self {
+    /// document's `runtime` section; `faults` is the run's fault
+    /// handle, whose degraded marks the status document renders.
+    pub fn new(registry: MetricsRegistry, threads: u64, faults: crate::Faults) -> Self {
         MetricsSink {
             registry,
-            model: StatusModel::new(threads),
+            model: StatusModel::new(threads, faults),
         }
     }
 }
@@ -442,7 +443,7 @@ mod tests {
     #[test]
     fn sink_tracks_campaign_events() {
         let registry = MetricsRegistry::new();
-        let mut sink = MetricsSink::new(registry.clone(), 1);
+        let mut sink = MetricsSink::new(registry.clone(), 1, crate::Faults::default());
         sink.on_event(&Event::CampaignStarted {
             design: "g".into(),
             model: "glitch".into(),

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::event::Event;
+use crate::faults::{retry, Faults};
 
 /// Receives telemetry events.
 ///
@@ -35,12 +36,13 @@ impl Sink for NullSink {
 ///
 /// Resilient: a failed line write is retried with bounded backoff;
 /// once the budget is exhausted the sink degrades to an in-memory
-/// buffer (bounded, newest lines kept) and records itself in the
-/// [`crate::degraded`] registry instead of silently dropping records.
+/// buffer (bounded, newest lines kept) and marks itself degraded on
+/// the run's [`Faults`] handle instead of silently dropping records.
 /// [`Sink::flush`] makes one last attempt to land the buffered tail.
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: BufWriter<File>,
+    faults: Faults,
     /// In-memory fallback once writes stop succeeding.
     buffered: Vec<String>,
     degraded: bool,
@@ -52,17 +54,20 @@ pub struct JsonlSink {
 const DEGRADED_BUFFER_LINES: usize = 4096;
 
 impl JsonlSink {
-    /// Creates (truncating) the record file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
+    /// Creates (truncating) the record file at `path`. Line writes
+    /// consult `faults`' `metrics.write` failpoint, and an exhausted
+    /// retry budget is marked on it.
+    pub fn create(path: impl AsRef<Path>, faults: Faults) -> io::Result<Self> {
         Ok(JsonlSink {
             writer: BufWriter::new(File::create(path)?),
+            faults,
             buffered: Vec::new(),
             degraded: false,
         })
     }
 
     fn write_line(&mut self, line: &str) -> io::Result<()> {
-        crate::failpoint::inject_io("metrics.write", None)?;
+        self.faults.inject_io("metrics.write", None)?;
         writeln!(self.writer, "{line}")
     }
 
@@ -81,9 +86,10 @@ impl Sink for JsonlSink {
             self.buffer(line);
             return;
         }
-        if let Err(error) = crate::degraded::retry(|| self.write_line(&line)) {
+        if let Err(error) = retry(|| self.write_line(&line)) {
             self.degraded = true;
-            crate::degraded::mark("metrics", &format!("event record: {error}"));
+            self.faults
+                .mark("metrics", &format!("event record: {error}"));
             self.buffer(line);
         }
     }
@@ -328,12 +334,12 @@ mod tests {
 
     #[test]
     fn jsonl_sink_buffers_in_memory_once_degraded() {
-        let _guard = crate::failpoint::scoped("metrics.write=ioerr x*");
+        let faults = Faults::parse("metrics.write=ioerr x*").unwrap();
         let path = std::env::temp_dir().join(format!(
             "mmaes-telemetry-jsonl-degraded-test-{}.jsonl",
             std::process::id()
         ));
-        let mut sink = JsonlSink::create(&path).unwrap();
+        let mut sink = JsonlSink::create(&path, faults.clone()).unwrap();
         for index in 0..3 {
             sink.on_event(&Event::CounterexampleFound {
                 label: format!("v{index}"),
@@ -342,7 +348,7 @@ mod tests {
         }
         assert!(sink.degraded);
         assert_eq!(sink.buffered.len(), 3, "records held in memory");
-        let entries = crate::degraded::snapshot();
+        let entries = faults.degraded();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].subsystem, "metrics");
         // Flush drains the buffer once real writes work again (the
@@ -356,10 +362,9 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
-        let _guard = crate::failpoint::scoped("");
         let path = std::env::temp_dir().join("mmaes-telemetry-jsonl-test.jsonl");
         {
-            let mut sink = JsonlSink::create(&path).unwrap();
+            let mut sink = JsonlSink::create(&path, Faults::default()).unwrap();
             sink.on_event(&Event::EnumerationStarted {
                 design: "demo".into(),
                 probe_sets: 2,

@@ -16,6 +16,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::event::{Event, HealthCheckpoint, EVENT_SCHEMA_VERSION};
+use crate::faults::{degraded_json, retry, Faults};
 use crate::json::{array, number, JsonObject};
 use crate::perf::PerfSnapshot;
 
@@ -65,15 +66,21 @@ pub struct StatusModel {
     elapsed_ms: u64,
     traces_per_sec: f64,
     perf: Option<PerfSnapshot>,
+    /// The run's fault handle, whose degraded marks render as the
+    /// `degraded` block.
+    faults: Faults,
 }
 
 impl StatusModel {
     /// An empty model. `threads` is the worker-thread count of the
     /// producing run (0 when unknown); it only ever appears under the
     /// wall-clock `runtime` key, never in the deterministic body.
-    pub fn new(threads: u64) -> Self {
+    /// `faults` is the run's fault handle: its degraded marks are the
+    /// document's `degraded` block.
+    pub fn new(threads: u64, faults: Faults) -> Self {
         StatusModel {
             threads,
+            faults,
             ..StatusModel::default()
         }
     }
@@ -228,13 +235,10 @@ impl StatusModel {
             .raw("top", &top)
             // Fault containment (event schema v7): subsystems that
             // exhausted their write-retry budget and fell back to
-            // in-memory operation. Rendered live from the process-wide
-            // registry; `[]` on a clean run, so the deterministic body
+            // in-memory operation. Rendered live from the run's fault
+            // handle; `[]` on a clean run, so the deterministic body
             // stays byte-identical across `--threads`.
-            .raw(
-                "degraded",
-                &crate::degraded::to_json(&crate::degraded::snapshot()),
-            );
+            .raw("degraded", &degraded_json(&self.faults.degraded()));
         if let Some(health) = &self.health {
             object = object.raw("health", &health.to_json());
         }
@@ -244,10 +248,11 @@ impl StatusModel {
 
 /// Atomically replaces `path` with `contents`: write a sibling tmp
 /// file, fsync, rename — the same discipline as campaign snapshots, so
-/// a reader (or a crash) never observes a torn document.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+/// a reader (or a crash) never observes a torn document. `faults`'
+/// `status.write` failpoint strikes before the real write.
+pub fn write_atomic(path: &Path, contents: &str, faults: &Faults) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    crate::failpoint::inject_io("status.write", Some((&tmp, contents.as_bytes())))?;
+    faults.inject_io("status.write", Some((&tmp, contents.as_bytes())))?;
     {
         let mut file = fs::File::create(&tmp)?;
         file.write_all(contents.as_bytes())?;
@@ -273,16 +278,17 @@ pub struct StatusFileSink {
 impl StatusFileSink {
     /// A sink writing to `path`. `threads` is the producing run's
     /// worker-thread count (0 when unknown), reported under the
-    /// status document's `runtime` key. Reaps a stale sibling `.tmp`
+    /// status document's `runtime` key; `faults` is the run's fault
+    /// handle (see [`StatusModel::new`]). Reaps a stale sibling `.tmp`
     /// file left behind by a crash mid-rename in a previous run.
-    pub fn create(path: impl Into<PathBuf>, threads: u64) -> Self {
+    pub fn create(path: impl Into<PathBuf>, threads: u64, faults: Faults) -> Self {
         let path = path.into();
         let stale_tmp = path.with_extension("tmp");
         if stale_tmp.exists() {
             let _ = fs::remove_file(&stale_tmp);
         }
         StatusFileSink {
-            model: StatusModel::new(threads),
+            model: StatusModel::new(threads, faults),
             path,
             degraded: false,
         }
@@ -293,9 +299,10 @@ impl StatusFileSink {
         // campaign the way a final-snapshot failure would. Retry with
         // bounded backoff, then degrade to in-memory and say so.
         let document = self.model.render() + "\n";
-        if let Err(error) = crate::degraded::retry(|| write_atomic(&self.path, &document)) {
+        if let Err(error) = retry(|| write_atomic(&self.path, &document, &self.model.faults)) {
             self.degraded = true;
-            crate::degraded::mark("status-file", &format!("{}: {error}", self.path.display()));
+            let detail = format!("{}: {error}", self.path.display());
+            self.model.faults.mark("status-file", &detail);
         }
     }
 }
@@ -311,7 +318,8 @@ impl crate::sink::Sink for StatusFileSink {
         if self.degraded {
             // One last best-effort write: if the disk recovered, the
             // final document (with its `degraded` block) still lands.
-            let _ = write_atomic(&self.path, &(self.model.render() + "\n"));
+            let document = self.model.render() + "\n";
+            let _ = write_atomic(&self.path, &document, &self.model.faults);
         } else {
             self.persist();
         }
@@ -370,7 +378,7 @@ mod tests {
 
     #[test]
     fn model_accumulates_trajectories_and_health() {
-        let mut model = StatusModel::new(2);
+        let mut model = StatusModel::new(2, Faults::default());
         assert!(model.absorb(&checkpoint(500, 3.0)));
         assert!(model.absorb(&checkpoint(1000, 6.0)));
         assert!(model.absorb(&health(1000)));
@@ -397,7 +405,7 @@ mod tests {
 
     #[test]
     fn wall_clock_fields_stay_inside_runtime() {
-        let mut model = StatusModel::new(4);
+        let mut model = StatusModel::new(4, Faults::default());
         model.absorb(&checkpoint(500, 3.0));
         let rendered = model.render();
         let parsed = crate::json::parse(&rendered).expect("status parses");
@@ -411,12 +419,9 @@ mod tests {
 
     #[test]
     fn file_sink_rewrites_atomically_on_checkpoints() {
-        // Hold the failpoint gate so a concurrently running fault test
-        // cannot inject errors into this sink's writes.
-        let _guard = crate::failpoint::scoped("");
         let path =
             std::env::temp_dir().join(format!("mmaes-status-test-{}.json", std::process::id()));
-        let mut sink = StatusFileSink::create(&path, 1);
+        let mut sink = StatusFileSink::create(&path, 1, Faults::default());
         sink.on_event(&checkpoint(500, 3.0));
         let first = fs::read_to_string(&path).expect("status written");
         crate::json::parse(first.trim()).expect("first write parses");
@@ -438,17 +443,17 @@ mod tests {
 
     #[test]
     fn file_sink_degrades_after_exhausting_the_retry_budget() {
-        let _guard = crate::failpoint::scoped("status.write=ioerr x*");
+        let faults = Faults::parse("status.write=ioerr x*").unwrap();
         let path = std::env::temp_dir().join(format!(
             "mmaes-status-degraded-test-{}.json",
             std::process::id()
         ));
         let _ = fs::remove_file(&path);
-        let mut sink = StatusFileSink::create(&path, 1);
+        let mut sink = StatusFileSink::create(&path, 1, faults.clone());
         sink.on_event(&checkpoint(500, 3.0));
         assert!(sink.degraded, "retry budget exhausted");
         assert!(!path.exists(), "no document written under injected ioerr");
-        let entries = crate::degraded::snapshot();
+        let entries = faults.degraded();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].subsystem, "status-file");
         assert_eq!(
@@ -457,7 +462,7 @@ mod tests {
         );
         // Later checkpoints stay in memory without further incidents.
         sink.on_event(&checkpoint(1000, 6.0));
-        assert_eq!(crate::degraded::snapshot()[0].incidents, 1);
+        assert_eq!(faults.degraded()[0].incidents, 1);
         // The model itself now renders the degraded block.
         let rendered = sink.model.render();
         assert!(rendered.contains("\"degraded\":[{"), "{rendered}");
@@ -465,13 +470,13 @@ mod tests {
 
     #[test]
     fn truncated_writes_never_tear_the_published_document() {
-        let _guard = crate::failpoint::scoped("status.write=truncate@1");
+        let faults = Faults::parse("status.write=truncate@1").unwrap();
         let path = std::env::temp_dir().join(format!(
             "mmaes-status-truncate-test-{}.json",
             std::process::id()
         ));
         let _ = fs::remove_file(&path);
-        let mut sink = StatusFileSink::create(&path, 1);
+        let mut sink = StatusFileSink::create(&path, 1, faults);
         // Hit 1 truncates mid-write; the retry (hit 2) succeeds. The
         // published path must only ever hold the complete document.
         sink.on_event(&checkpoint(500, 3.0));
@@ -490,14 +495,14 @@ mod tests {
         ));
         let tmp = path.with_extension("tmp");
         fs::write(&tmp, "{\"type\":\"status\",\"trunca").expect("plant stale tmp");
-        let _sink = StatusFileSink::create(&path, 1);
+        let _sink = StatusFileSink::create(&path, 1, Faults::default());
         assert!(!tmp.exists(), "stale tmp reaped on startup");
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn trajectory_label_tracking_is_bounded() {
-        let mut model = StatusModel::new(1);
+        let mut model = StatusModel::new(1, Faults::default());
         for wave in 0..4 {
             let probes: Vec<ProbePoint> = (0..50)
                 .map(|index| ProbePoint {

@@ -13,7 +13,7 @@
 use mult_masked_aes::circuits::build_kronecker;
 use mult_masked_aes::leakage::{EvaluationConfig, FixedVsRandom};
 use mult_masked_aes::masking::KroneckerRandomness;
-use mult_masked_aes::telemetry::{json, MetricsRegistry, MetricsSink, Observer, Sink};
+use mult_masked_aes::telemetry::{json, Faults, MetricsRegistry, MetricsSink, Observer, Sink};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = KroneckerRandomness::de_meyer_eq6();
@@ -24,7 +24,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and readable at any time from another thread (the CLI's
     // `--metrics-addr` server does exactly this).
     let registry = MetricsRegistry::new();
-    let sinks: Vec<Box<dyn Sink>> = vec![Box::new(MetricsSink::new(registry.clone(), 1))];
+    let sinks: Vec<Box<dyn Sink>> = vec![Box::new(MetricsSink::new(
+        registry.clone(),
+        1,
+        Faults::default(),
+    ))];
     let observer = Observer::from_sinks(sinks);
 
     let report = FixedVsRandom::new(
