@@ -24,7 +24,7 @@ use mmaes_telemetry::{Event, Observer, ProbeHealth, Stopwatch};
 pub use crate::config::{
     CampaignMode, Durability, EvaluationConfig, SecretDomain, DECISIVE_MARGIN,
 };
-use crate::engine::{build_snapshot, CampaignState, Engine, FoldContext, CHECKPOINT_TOP_PROBES};
+use crate::engine::{CampaignState, Engine, FoldContext, CHECKPOINT_TOP_PROBES};
 pub use crate::error::CampaignError;
 use crate::health;
 use crate::probe::{enumerate_probe_sets, ProbeSet};
@@ -344,7 +344,7 @@ impl<'a> FixedVsRandom<'a> {
         if durability.resume {
             if let Some(path) = &durability.snapshot_path {
                 if path.exists() {
-                    let saved = snapshot::load(path)?;
+                    let saved = snapshot::load_for_resume(path, LANES as u64)?;
                     if saved.config_fingerprint != fingerprint {
                         return Err(SnapshotError::ConfigMismatch {
                             found: saved.config_fingerprint,
@@ -359,7 +359,7 @@ impl<'a> FixedVsRandom<'a> {
                         }
                         .into());
                     }
-                    state.batches_done = saved.batches_done.min(batches);
+                    state.batches_done = saved.batches_done;
                     prior_cell_evals = saved.cell_evals;
                     for (index, table) in saved.tables.into_iter().enumerate() {
                         state.flagged[index] = table.flagged;
@@ -413,18 +413,7 @@ impl<'a> FixedVsRandom<'a> {
         // prefix before the error propagates, so the traces already
         // simulated are never lost.
         if let Some(path) = &durability.snapshot_path {
-            let _span = perf.span("snapshot");
-            let saved = build_snapshot(
-                fingerprint,
-                config.statistic,
-                state.batches_done,
-                batches,
-                prior_cell_evals + state.folded.cell_evals,
-                &mut state.tables,
-                &state.flagged,
-                &state.trajectories,
-            );
-            if let Err(error) = snapshot::save_with_retry(&saved, path, &config.faults) {
+            if let Err(error) = engine.save_snapshot(&context, &mut state, path) {
                 if run_result.is_ok() {
                     // A healthy run whose final state cannot be
                     // persisted is a typed error: the caller asked for

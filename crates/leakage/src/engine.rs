@@ -41,7 +41,7 @@ use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
-use crate::snapshot::{self, CampaignSnapshot, TableSnapshot};
+use crate::snapshot::{self, SnapshotError, TableView};
 use crate::stats::pooling_summary;
 use crate::supervisor;
 use crate::tabulate::{Lanes, Table, TabulatorMode};
@@ -118,43 +118,6 @@ pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
             .dense_index_width(config.model, config.max_table_keys)
             .map_or_else(Table::hashed, Table::dense),
         TabulatorMode::Hashed => Table::hashed(),
-    }
-}
-
-/// Assembles the serializable campaign state from the live tables.
-/// Takes the tables `&mut` so the serialized columns come from (and
-/// prime) each table's memoized sorted snapshot: a checkpoint's
-/// statistic sweep and its snapshot share one sort per table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_snapshot(
-    fingerprint: u64,
-    statistic: crate::stats::StatisticKind,
-    batches_done: u64,
-    total_batches: u64,
-    cell_evals: u64,
-    tables: &mut [Table],
-    flagged: &[bool],
-    trajectories: &[Vec<(u64, f64)>],
-) -> CampaignSnapshot {
-    CampaignSnapshot {
-        config_fingerprint: fingerprint,
-        statistic,
-        batches_done,
-        total_batches,
-        cell_evals,
-        tables: tables
-            .iter_mut()
-            .enumerate()
-            .map(|(index, table)| {
-                TableSnapshot::from_sorted(
-                    table.sorted_columns().to_vec(),
-                    table.overflow(),
-                    table.samples(),
-                    flagged[index],
-                    &trajectories[index],
-                )
-            })
-            .collect(),
     }
 }
 
@@ -630,18 +593,7 @@ impl Engine<'_> {
             }
             if let Some(path) = &config.durability.snapshot_path {
                 if !state.snapshot_degraded {
-                    let _span = perf.span("snapshot");
-                    let saved = build_snapshot(
-                        context.fingerprint,
-                        config.statistic,
-                        state.batches_done,
-                        context.batches,
-                        context.prior_cell_evals + state.folded.cell_evals,
-                        &mut state.tables,
-                        &state.flagged,
-                        &state.trajectories,
-                    );
-                    if let Err(error) = snapshot::save_with_retry(&saved, path, &config.faults) {
+                    if let Err(error) = self.save_snapshot(context, state, path) {
                         // Interim saves are an amenity; losing them must
                         // not kill a healthy campaign. Degrade: skip
                         // further interim saves (the final save is still
@@ -678,6 +630,46 @@ impl Engine<'_> {
             return true;
         }
         false
+    }
+
+    /// Renders the campaign state straight from the live tables — each
+    /// table's memoized sorted columns (shared with the checkpoint's
+    /// statistic sweep), flag and trajectory — and writes it atomically
+    /// within the fault handle's retry budget. The `snapshot` span
+    /// nests in whatever span the caller holds: `g_test` for the
+    /// interim save, none for the final one.
+    pub(crate) fn save_snapshot(
+        &self,
+        context: &FoldContext<'_>,
+        state: &mut CampaignState,
+        path: &std::path::Path,
+    ) -> Result<(), SnapshotError> {
+        let _span = context.perf.span("snapshot");
+        let header = snapshot::Header {
+            config_fingerprint: context.fingerprint,
+            statistic: self.config.statistic,
+            batches_done: state.batches_done,
+            total_batches: context.batches,
+            cell_evals: context.prior_cell_evals + state.folded.cell_evals,
+        };
+        let tables: Vec<TableView<'_>> = state
+            .tables
+            .iter_mut()
+            .zip(&state.flagged)
+            .zip(&state.trajectories)
+            .map(|((table, &flagged), trajectory)| TableView {
+                samples: table.samples(),
+                overflow: table.overflow(),
+                flagged,
+                counts: table.sorted_columns(),
+                trajectory,
+            })
+            .collect();
+        snapshot::write_with_retry(
+            &snapshot::render(&header, &tables),
+            path,
+            &self.config.faults,
+        )
     }
 
     /// The inline driver: one simulator and one observation buffer on

@@ -28,6 +28,16 @@
 //! a temporary file, fsyncs and renames, so a crash mid-write leaves
 //! either the previous snapshot or a `.tmp` file — never a torn one.
 //!
+//! # Rendering
+//!
+//! One renderer writes the file in one pass into one byte buffer,
+//! formatting decimal and hex digits by hand, with no allocation per
+//! line. A running campaign renders straight from its live tables
+//! (borrowed views of each table's memoized sorted columns,
+//! trajectory and flag), so a checkpoint never copies its tables into
+//! a [`CampaignSnapshot`]; [`CampaignSnapshot::to_text`], [`save`] and
+//! [`save_with_retry`] are thin wrappers over the same renderer.
+//!
 //! # Versioning
 //!
 //! v2 added the `statistic` record. A G-test campaign serializes in the
@@ -95,26 +105,6 @@ impl TableSnapshot {
             trajectory: trajectory.to_vec(),
         }
     }
-
-    /// Builds a snapshot from already-sorted columns (as
-    /// [`crate::tabulate::Table::sorted_columns`] memoizes them), so a
-    /// checkpoint's G-test sweep and its snapshot share one sort.
-    pub fn from_sorted(
-        counts: Vec<(u128, [u64; 2])>,
-        overflow: [u64; 2],
-        samples: u64,
-        flagged: bool,
-        trajectory: &[(u64, f64)],
-    ) -> Self {
-        debug_assert!(counts.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        TableSnapshot {
-            samples,
-            overflow,
-            flagged,
-            counts,
-            trajectory: trajectory.to_vec(),
-        }
-    }
 }
 
 /// The complete serialized state of a paused campaign.
@@ -135,6 +125,114 @@ pub struct CampaignSnapshot {
     pub cell_evals: u64,
     /// One entry per probing set, in enumeration order.
     pub tables: Vec<TableSnapshot>,
+}
+
+/// The campaign-level records of a snapshot: everything but its tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    pub(crate) config_fingerprint: u64,
+    pub(crate) statistic: StatisticKind,
+    pub(crate) batches_done: u64,
+    pub(crate) total_batches: u64,
+    pub(crate) cell_evals: u64,
+}
+
+/// One probing set's table as [`render`] writes it, borrowed from
+/// wherever the state lives: a [`TableSnapshot`], or a live
+/// [`crate::tabulate::Table`]'s memoized sorted columns next to the
+/// campaign's flag and trajectory for that set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TableView<'a> {
+    pub(crate) samples: u64,
+    pub(crate) overflow: [u64; 2],
+    pub(crate) flagged: bool,
+    /// Contingency cells in strictly increasing key order.
+    pub(crate) counts: &'a [(u128, [u64; 2])],
+    pub(crate) trajectory: &'a [(u64, f64)],
+}
+
+/// Renders a snapshot in the text format, in one pass into one buffer.
+/// A G-test snapshot uses the v1 layout (no `statistic` record), so its
+/// bytes are identical to pre-v2 snapshots; any other statistic opts
+/// into v2. Keys are unpadded lower-case hex, the fingerprint and
+/// trajectory bits 16-digit hex, everything else decimal — exactly the
+/// `{:x}`, `{:016x}` and `{}` formatting of the format's definition.
+pub(crate) fn render(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let v1 = header.statistic == StatisticKind::GTest;
+    out.extend_from_slice(MAGIC.as_bytes());
+    out.extend_from_slice(b" v");
+    push_decimal(&mut out, if v1 { 1 } else { SNAPSHOT_SCHEMA_VERSION });
+    out.extend_from_slice(b"\nconfig ");
+    push_hex(&mut out, header.config_fingerprint.into(), 16);
+    if !v1 {
+        out.extend_from_slice(b"\nstatistic ");
+        out.extend_from_slice(header.statistic.name().as_bytes());
+    }
+    out.extend_from_slice(b"\nprogress ");
+    push_decimal(&mut out, header.batches_done);
+    out.push(b' ');
+    push_decimal(&mut out, header.total_batches);
+    out.extend_from_slice(b"\ncell_evals ");
+    push_decimal(&mut out, header.cell_evals);
+    out.push(b'\n');
+    for (index, table) in tables.iter().enumerate() {
+        out.extend_from_slice(b"table ");
+        push_decimal(&mut out, index as u64);
+        for value in [table.samples, table.overflow[0], table.overflow[1]] {
+            out.push(b' ');
+            push_decimal(&mut out, value);
+        }
+        out.extend_from_slice(if table.flagged { b" 1\n" } else { b" 0\n" });
+        for &(key, [count0, count1]) in table.counts {
+            out.extend_from_slice(b"k ");
+            push_hex(&mut out, key, 1);
+            out.push(b' ');
+            push_decimal(&mut out, count0);
+            out.push(b' ');
+            push_decimal(&mut out, count1);
+            out.push(b'\n');
+        }
+        for &(traces, value) in table.trajectory {
+            out.extend_from_slice(b"traj ");
+            push_decimal(&mut out, traces);
+            out.push(b' ');
+            push_hex(&mut out, value.to_bits().into(), 16);
+            out.push(b'\n');
+        }
+    }
+    out.extend_from_slice(b"end\n");
+    out
+}
+
+/// Appends `value` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `value` in lower-case hex, zero-padded to at least
+/// `min_digits` (1 to 32) digits.
+fn push_hex(out: &mut Vec<u8>, mut value: u128, min_digits: usize) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [b'0'; 32];
+    let mut start = digits.len();
+    while value != 0 {
+        start -= 1;
+        digits[start] = HEX[(value & 0xf) as usize];
+        value >>= 4;
+    }
+    start = start.min(digits.len() - min_digits);
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Error loading or saving a [`CampaignSnapshot`].
@@ -197,37 +295,30 @@ impl CampaignSnapshot {
     /// its bytes are identical to pre-v2 snapshots; a non-default
     /// statistic opts into v2.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if self.statistic == StatisticKind::GTest {
-            out.push_str(&format!("{MAGIC} v1\n"));
-            out.push_str(&format!("config {:016x}\n", self.config_fingerprint));
-        } else {
-            out.push_str(&format!("{MAGIC} v{SNAPSHOT_SCHEMA_VERSION}\n"));
-            out.push_str(&format!("config {:016x}\n", self.config_fingerprint));
-            out.push_str(&format!("statistic {}\n", self.statistic.name()));
-        }
-        out.push_str(&format!(
-            "progress {} {}\n",
-            self.batches_done, self.total_batches
-        ));
-        out.push_str(&format!("cell_evals {}\n", self.cell_evals));
-        for (index, table) in self.tables.iter().enumerate() {
-            out.push_str(&format!(
-                "table {index} {} {} {} {}\n",
-                table.samples,
-                table.overflow[0],
-                table.overflow[1],
-                u8::from(table.flagged)
-            ));
-            for &(key, cell) in &table.counts {
-                out.push_str(&format!("k {key:x} {} {}\n", cell[0], cell[1]));
-            }
-            for &(traces, value) in &table.trajectory {
-                out.push_str(&format!("traj {traces} {:016x}\n", value.to_bits()));
-            }
-        }
-        out.push_str("end\n");
-        out
+        String::from_utf8(self.render()).expect("snapshot text is ASCII")
+    }
+
+    /// The rendered file bytes.
+    fn render(&self) -> Vec<u8> {
+        let header = Header {
+            config_fingerprint: self.config_fingerprint,
+            statistic: self.statistic,
+            batches_done: self.batches_done,
+            total_batches: self.total_batches,
+            cell_evals: self.cell_evals,
+        };
+        let tables: Vec<TableView<'_>> = self
+            .tables
+            .iter()
+            .map(|table| TableView {
+                samples: table.samples,
+                overflow: table.overflow,
+                flagged: table.flagged,
+                counts: &table.counts,
+                trajectory: &table.trajectory,
+            })
+            .collect();
+        render(&header, &tables)
     }
 
     /// Parses the text format.
@@ -239,6 +330,12 @@ impl CampaignSnapshot {
     /// keys are not strictly increasing, or whose counts plus overflow
     /// do not sum to its samples, is [`SnapshotError::Corrupt`].
     pub fn from_text(text: &str) -> Result<Self, SnapshotError> {
+        Self::parse(text).map(|(snapshot, _)| snapshot)
+    }
+
+    /// [`CampaignSnapshot::from_text`], also reporting where the
+    /// progress and table records sit.
+    fn parse(text: &str) -> Result<(Self, RecordLines), SnapshotError> {
         let corrupt = |line: usize, reason: &str| SnapshotError::Corrupt {
             line,
             reason: reason.to_owned(),
@@ -255,6 +352,7 @@ impl CampaignSnapshot {
             return Err(SnapshotError::VersionMismatch { found: version });
         }
         let mut snapshot = CampaignSnapshot::default();
+        let mut record_lines = RecordLines::default();
         let mut saw_end = false;
         // Line of the latest `table` record, for its mass check.
         let mut table_line = 0;
@@ -290,6 +388,7 @@ impl CampaignSnapshot {
                         .ok_or_else(|| corrupt(number, "unknown statistic"))?;
                 }
                 Some("progress") => {
+                    record_lines.progress = number;
                     snapshot.batches_done = fields
                         .next()
                         .and_then(|value| value.parse().ok())
@@ -317,6 +416,7 @@ impl CampaignSnapshot {
                         check_mass(previous, table_line)?;
                     }
                     table_line = number;
+                    record_lines.tables.push(number);
                     let mut parse = |what: &str| {
                         fields
                             .next()
@@ -388,8 +488,17 @@ impl CampaignSnapshot {
         if !saw_end {
             return Err(SnapshotError::Truncated);
         }
-        Ok(snapshot)
+        Ok((snapshot, record_lines))
     }
+}
+
+/// 1-based line numbers of the records [`load_for_resume`] cross-checks.
+#[derive(Debug, Default)]
+struct RecordLines {
+    /// The (last) `progress` record.
+    progress: usize,
+    /// Each `table` record, in table order.
+    tables: Vec<usize>,
 }
 
 /// Writes the snapshot atomically: temporary file in the same
@@ -401,12 +510,12 @@ impl CampaignSnapshot {
 ///
 /// [`SnapshotError::Io`] with the failing path in the message.
 pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
-    write_text(&snapshot.to_text(), path, None)
+    write_bytes(&snapshot.render(), path, None)
 }
 
 /// The atomic write behind [`save`], with an optional fault handle
 /// whose `snapshot.save` failpoint strikes before the real write.
-fn write_text(text: &str, path: &Path, faults: Option<&Faults>) -> Result<(), SnapshotError> {
+fn write_bytes(bytes: &[u8], path: &Path, faults: Option<&Faults>) -> Result<(), SnapshotError> {
     let io_error = |context: &str, error: std::io::Error| {
         SnapshotError::Io(format!("{context} {}: {error}", path.display()))
     };
@@ -416,12 +525,12 @@ fn write_text(text: &str, path: &Path, faults: Option<&Faults>) -> Result<(), Sn
     // injected ENOSPC or truncation never corrupts the destination.
     if let Some(faults) = faults {
         faults
-            .inject_io("snapshot.save", Some((&tmp, text.as_bytes())))
+            .inject_io("snapshot.save", Some((&tmp, bytes)))
             .map_err(|error| io_error("write", error))?;
     }
     {
         let mut file = fs::File::create(&tmp).map_err(|error| io_error("create", error))?;
-        file.write_all(text.as_bytes())
+        file.write_all(bytes)
             .map_err(|error| io_error("write", error))?;
         file.sync_all().map_err(|error| io_error("fsync", error))?;
     }
@@ -445,8 +554,18 @@ pub fn save_with_retry(
     path: &Path,
     faults: &Faults,
 ) -> Result<(), SnapshotError> {
-    let text = snapshot.to_text();
-    retry(|| write_text(&text, path, Some(faults)))
+    write_with_retry(&snapshot.render(), path, faults)
+}
+
+/// Writes already-rendered snapshot bytes atomically under the
+/// campaign's fault handle and the retry budget of [`save_with_retry`];
+/// a running campaign saves its live tables through this.
+pub(crate) fn write_with_retry(
+    bytes: &[u8],
+    path: &Path,
+    faults: &Faults,
+) -> Result<(), SnapshotError> {
+    retry(|| write_bytes(bytes, path, Some(faults)))
 }
 
 /// Removes a stale `.tmp` sibling left next to `path` by a crash
@@ -465,16 +584,233 @@ pub fn reap_stale_tmp(path: &Path) {
 /// # Errors
 ///
 /// [`SnapshotError::Io`] if the file cannot be read, otherwise the
-/// parse errors of [`CampaignSnapshot::from_text`].
+/// parse errors of [`CampaignSnapshot::from_text`]. A file that is not
+/// valid UTF-8 is [`SnapshotError::Corrupt`] at the line holding the
+/// first invalid byte.
 pub fn load(path: &Path) -> Result<CampaignSnapshot, SnapshotError> {
-    let text = fs::read_to_string(path)
+    read(path).map(|(snapshot, _)| snapshot)
+}
+
+/// [`load`] for a campaign resuming from the file: additionally
+/// requires the progress and the tables to agree. Every folded batch
+/// adds `traces_per_batch` samples to every table, so a table whose
+/// samples differ from `batches_done × traces_per_batch`, or progress
+/// past `total_batches`, cannot have been written by a campaign and is
+/// [`SnapshotError::Corrupt`].
+pub(crate) fn load_for_resume(
+    path: &Path,
+    traces_per_batch: u64,
+) -> Result<CampaignSnapshot, SnapshotError> {
+    let (snapshot, lines) = read(path)?;
+    if snapshot.batches_done > snapshot.total_batches {
+        return Err(SnapshotError::Corrupt {
+            line: lines.progress,
+            reason: "batches_done exceeds total_batches".to_owned(),
+        });
+    }
+    let samples = snapshot.batches_done.checked_mul(traces_per_batch);
+    for (table, &line) in snapshot.tables.iter().zip(&lines.tables) {
+        if Some(table.samples) != samples {
+            return Err(SnapshotError::Corrupt {
+                line,
+                reason: "table samples disagree with batches_done".to_owned(),
+            });
+        }
+    }
+    Ok(snapshot)
+}
+
+/// Reads and parses a snapshot file, keeping the record line numbers.
+fn read(path: &Path) -> Result<(CampaignSnapshot, RecordLines), SnapshotError> {
+    let bytes = fs::read(path)
         .map_err(|error| SnapshotError::Io(format!("read {}: {error}", path.display())))?;
-    CampaignSnapshot::from_text(&text)
+    let text = std::str::from_utf8(&bytes).map_err(|error| SnapshotError::Corrupt {
+        line: 1 + bytes[..error.valid_up_to()]
+            .iter()
+            .filter(|&&byte| byte == b'\n')
+            .count(),
+        reason: "not valid UTF-8".to_owned(),
+    })?;
+    CampaignSnapshot::parse(text)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The per-line `format!` serializer the renderer replaced, kept as
+    /// the differential oracle for its bytes.
+    fn oracle_text(snapshot: &CampaignSnapshot) -> String {
+        let mut out = String::new();
+        if snapshot.statistic == StatisticKind::GTest {
+            out.push_str(&format!("{MAGIC} v1\n"));
+            out.push_str(&format!("config {:016x}\n", snapshot.config_fingerprint));
+        } else {
+            out.push_str(&format!("{MAGIC} v{SNAPSHOT_SCHEMA_VERSION}\n"));
+            out.push_str(&format!("config {:016x}\n", snapshot.config_fingerprint));
+            out.push_str(&format!("statistic {}\n", snapshot.statistic.name()));
+        }
+        out.push_str(&format!(
+            "progress {} {}\n",
+            snapshot.batches_done, snapshot.total_batches
+        ));
+        out.push_str(&format!("cell_evals {}\n", snapshot.cell_evals));
+        for (index, table) in snapshot.tables.iter().enumerate() {
+            out.push_str(&format!(
+                "table {index} {} {} {} {}\n",
+                table.samples,
+                table.overflow[0],
+                table.overflow[1],
+                u8::from(table.flagged)
+            ));
+            for &(key, cell) in &table.counts {
+                out.push_str(&format!("k {key:x} {} {}\n", cell[0], cell[1]));
+            }
+            for &(traces, value) in &table.trajectory {
+                out.push_str(&format!("traj {traces} {:016x}\n", value.to_bits()));
+            }
+        }
+        out.push_str("end\n");
+        out
+    }
+
+    /// A `u64` biased towards the edges of its range and small values.
+    fn edgy_u64() -> impl Strategy<Value = u64> {
+        (0u8..4, any::<u64>()).prop_map(|(pick, value)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => value % 1000,
+            _ => value,
+        })
+    }
+
+    /// A `u128` key biased towards the edges of its range and the narrow
+    /// keys of dense tables.
+    fn edgy_key() -> impl Strategy<Value = u128> {
+        (0u8..4, any::<u64>(), any::<u64>()).prop_map(|(pick, high, low)| match pick {
+            0 => 0,
+            1 => u128::MAX,
+            2 => u128::from(low >> 40),
+            _ => u128::from(high) << 64 | u128::from(low),
+        })
+    }
+
+    /// A trajectory value: NaN, ±inf, -0.0 or arbitrary bits.
+    fn trajectory_value() -> impl Strategy<Value = f64> {
+        (0u8..5, any::<u64>()).prop_map(|(pick, bits)| match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    /// A table with strictly increasing keys whose counts plus overflow
+    /// sum to its samples (the parser's mass check); the counts or the
+    /// trajectory may be empty.
+    fn table() -> impl Strategy<Value = TableSnapshot> {
+        (
+            prop::collection::vec((edgy_key(), edgy_u64(), edgy_u64()), 0..6),
+            (edgy_u64(), edgy_u64()),
+            any::<bool>(),
+            prop::collection::vec((edgy_u64(), trajectory_value()), 0..4),
+        )
+            .prop_map(|(mut cells, overflow, flagged, trajectory)| {
+                cells.sort_unstable_by_key(|&(key, _, _)| key);
+                cells.dedup_by_key(|&mut (key, _, _)| key);
+                // Clamp each count to what is left below `u64::MAX`: the
+                // extremes survive, and the cells plus overflow sum to
+                // a representable `samples`.
+                let mut samples = 0u64;
+                let mut take = |count: u64| {
+                    let kept = count.min(u64::MAX - samples);
+                    samples += kept;
+                    kept
+                };
+                let overflow = [take(overflow.0), take(overflow.1)];
+                let counts = cells
+                    .into_iter()
+                    .map(|(key, count0, count1)| (key, [take(count0), take(count1)]))
+                    .collect();
+                TableSnapshot {
+                    samples,
+                    overflow,
+                    flagged,
+                    counts,
+                    trajectory,
+                }
+            })
+    }
+
+    fn campaign() -> impl Strategy<Value = CampaignSnapshot> {
+        (
+            any::<u64>(),
+            any::<bool>(),
+            (edgy_u64(), edgy_u64(), edgy_u64()),
+            prop::collection::vec(table(), 0..5),
+        )
+            .prop_map(
+                |(config_fingerprint, ttest, (batches_done, total_batches, cell_evals), tables)| {
+                    CampaignSnapshot {
+                        config_fingerprint,
+                        statistic: if ttest {
+                            StatisticKind::TTest
+                        } else {
+                            StatisticKind::GTest
+                        },
+                        batches_done,
+                        total_batches,
+                        cell_evals,
+                        tables,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn renderer_matches_the_format_oracle_and_round_trips(snapshot in campaign()) {
+            let text = snapshot.to_text();
+            prop_assert_eq!(&text, &oracle_text(&snapshot));
+            let parsed = CampaignSnapshot::from_text(&text).expect("rendered text parses");
+            // Compare through the text: NaN trajectories are not `==`.
+            prop_assert_eq!(parsed.to_text(), text);
+        }
+    }
+
+    #[test]
+    fn renderer_covers_the_extreme_fields() {
+        let snapshot = CampaignSnapshot {
+            config_fingerprint: 0,
+            statistic: StatisticKind::TTest,
+            batches_done: u64::MAX,
+            total_batches: 0,
+            cell_evals: u64::MAX,
+            tables: vec![
+                TableSnapshot {
+                    samples: u64::MAX,
+                    overflow: [0, 0],
+                    flagged: false,
+                    counts: vec![(0, [0, 0]), (u128::MAX, [u64::MAX, 0])],
+                    trajectory: vec![(u64::MAX, f64::NEG_INFINITY), (0, -0.0)],
+                },
+                TableSnapshot::default(),
+            ],
+        };
+        let text = snapshot.to_text();
+        assert_eq!(text, oracle_text(&snapshot));
+        assert!(
+            text.contains(&format!("k {:x} {} 0\n", u128::MAX, u64::MAX)),
+            "{text}"
+        );
+        assert_eq!(
+            CampaignSnapshot::from_text(&text).expect("parses"),
+            snapshot
+        );
+    }
 
     fn sample() -> CampaignSnapshot {
         CampaignSnapshot {
@@ -645,7 +981,7 @@ mod tests {
         let path = directory.join("torn.snapshot");
         // One un-retried save attempt under the handle.
         let save = |snapshot: &CampaignSnapshot, path: &Path| {
-            write_text(&snapshot.to_text(), path, Some(&faults))
+            write_bytes(&snapshot.render(), path, Some(&faults))
         };
         save(&sample(), &path).expect("first save lands");
         let error = save(&sample(), &path).expect_err("second save is torn");
@@ -679,6 +1015,31 @@ mod tests {
             .expect_err("unwritable directory");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("create"), "{error}");
+    }
+
+    #[test]
+    fn a_non_utf8_file_is_corrupt_at_the_offending_line() {
+        let path = std::env::temp_dir().join(format!(
+            "mmaes-snapshot-non-utf8-{}.snapshot",
+            std::process::id()
+        ));
+        let mut bytes = sample().to_text().into_bytes();
+        // Line 6 is table 0's first `k` record; corrupt its key.
+        let at = bytes
+            .windows(2)
+            .position(|window| window == b"k ")
+            .expect("a count record");
+        bytes[at + 2] = 0xff;
+        fs::write(&path, &bytes).expect("write");
+        let error = load(&path).expect_err("rejects");
+        fs::remove_file(&path).ok();
+        assert_eq!(
+            error,
+            SnapshotError::Corrupt {
+                line: 6,
+                reason: "not valid UTF-8".to_owned()
+            }
+        );
     }
 
     #[test]

@@ -369,6 +369,63 @@ fn duplicated_count_keys_are_corrupt() {
     );
 }
 
+/// Rewrites field `field` (0-based, after the record name) of every
+/// line starting with `prefix` through `edit`.
+fn edit_field(text: &str, prefix: &str, field: usize, edit: impl Fn(u64) -> u64) -> String {
+    text.lines()
+        .map(|line| match line.strip_prefix(prefix) {
+            Some(rest) => {
+                let mut fields: Vec<String> = rest.split(' ').map(str::to_owned).collect();
+                let value: u64 = fields[field].parse().expect("numeric field");
+                fields[field] = edit(value).to_string();
+                format!("{prefix}{}", fields.join(" "))
+            }
+            None => line.to_owned(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+        + "\n"
+}
+
+#[test]
+fn progress_past_the_total_is_corrupt() {
+    // 6,400 traces are 100 batches; the first leg stopped after 40.
+    // Claim 101 done and pool the 61 extra batches' samples into every
+    // table's overflow, so the tables agree with the progress and only
+    // the total is exceeded.
+    let extra = 61 * 64;
+    let error = resume_from_edited_snapshot("past-total", |text| {
+        let text = edit_field(text, "progress ", 0, |done| done + 61);
+        let text = edit_field(&text, "table ", 1, |samples| samples + extra);
+        edit_field(&text, "table ", 2, |overflow| overflow + extra)
+    });
+    assert!(
+        matches!(
+            error,
+            CampaignError::Snapshot(SnapshotError::Corrupt { line: 3, ref reason })
+                if reason.contains("exceeds total_batches")
+        ),
+        "{error:?}"
+    );
+}
+
+#[test]
+fn samples_that_disagree_with_progress_are_corrupt() {
+    // Claim one batch fewer than the tables hold: the mass checks still
+    // pass, but every table's samples exceed `batches_done × 64`.
+    let error = resume_from_edited_snapshot("behind-tables", |text| {
+        edit_field(text, "progress ", 0, |done| done - 1)
+    });
+    assert!(
+        matches!(
+            error,
+            CampaignError::Snapshot(SnapshotError::Corrupt { line: 5, ref reason })
+                if reason.contains("disagree with batches_done")
+        ),
+        "{error:?}"
+    );
+}
+
 #[test]
 fn counts_that_do_not_sum_to_samples_are_corrupt() {
     // Bump the first table's sample count by one: its cells plus

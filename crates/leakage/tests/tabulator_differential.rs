@@ -9,10 +9,11 @@ use std::path::PathBuf;
 
 use mmaes_circuits::build_kronecker;
 use mmaes_leakage::{
-    CampaignSnapshot, Durability, EvaluationConfig, FixedVsRandom, LeakageReport, TabulatorMode,
+    enumerate_probe_sets, CampaignSnapshot, Durability, EvaluationConfig, FixedVsRandom,
+    LeakageReport, StatisticKind, TabulatorMode,
 };
 use mmaes_masking::KroneckerRandomness;
-use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole};
+use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole, StableCones};
 
 fn share_role(share: u8) -> SignalRole {
     SignalRole::Share {
@@ -221,6 +222,95 @@ fn overflowing_campaigns_reproduce_pinned_report_and_snapshot_bytes() {
                     "{leg}: final snapshot bytes changed"
                 );
             }
+        }
+    }
+}
+
+/// Runs `config` with a snapshot path and returns its final snapshot's
+/// bytes (the report is checked by the equality tests above).
+fn final_snapshot_bytes(netlist: &Netlist, mut config: EvaluationConfig, tag: &str) -> Vec<u8> {
+    let path = resume_path(tag);
+    config.durability = Durability {
+        snapshot_path: Some(path.clone()),
+        ..Durability::default()
+    };
+    FixedVsRandom::new(netlist, config)
+        .try_run()
+        .expect("campaign");
+    let bytes = std::fs::read(&path).expect("final snapshot");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+/// An order-2 campaign over the Eq. 6 G7 multiplier's 71 pair sets,
+/// every one on the dense store under the default key cap, saving a
+/// snapshot at each of its four checkpoints.
+fn order2_config(threads: usize, tabulator: TabulatorMode) -> EvaluationConfig {
+    EvaluationConfig {
+        order: 2,
+        traces: 1280,
+        probe_scope_filter: Some("kronecker/G7".to_owned()),
+        ..eq6_config(threads, tabulator)
+    }
+}
+
+/// Final-snapshot FNV-1a digests of `(order-2 all-dense campaign,
+/// t-test Eq. 6 campaign)`, recorded from the per-line formatting
+/// serializer. Unlike [`OVERFLOW_DIGESTS`] these cover campaigns that
+/// never overflow: a G-test snapshot in the v1 layout with every
+/// interim checkpoint's trajectory, and a v2 snapshot with its
+/// `statistic` record.
+const SNAPSHOT_DIGESTS: (u64, u64) = (0xadbc_9d76_5b25_9603, 0xf324_09a4_376e_dfb6);
+
+#[test]
+fn uncapped_campaigns_reproduce_pinned_snapshot_bytes() {
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+    let netlist = &circuit.netlist;
+    let reference = order2_config(1, TabulatorMode::Dense);
+    let cones = StableCones::new(netlist);
+    let sets = enumerate_probe_sets(
+        netlist,
+        &cones,
+        2,
+        reference.probe_scope_filter.as_deref(),
+        reference.max_probe_sets,
+    );
+    assert_eq!(sets.len(), 71);
+    assert!(
+        sets.iter().all(|set| set
+            .dense_index_width(reference.model, reference.max_table_keys)
+            .is_some()),
+        "every order-2 set must qualify for the dense store"
+    );
+    let (order2_digest, ttest_digest) = SNAPSHOT_DIGESTS;
+    for tabulator in [TabulatorMode::Dense, TabulatorMode::Hashed] {
+        for threads in [1usize, 2, 3] {
+            let leg = format!("threads={threads} tabulator={}", tabulator.name());
+            let order2 = final_snapshot_bytes(
+                netlist,
+                order2_config(threads, tabulator),
+                &format!("order2-{threads}-{}", tabulator.name()),
+            );
+            assert!(order2.starts_with(b"mmaes-campaign-snapshot v1\n"), "{leg}");
+            let ttest = final_snapshot_bytes(
+                netlist,
+                EvaluationConfig {
+                    statistic: StatisticKind::TTest,
+                    ..eq6_config(threads, tabulator)
+                },
+                &format!("ttest-{threads}-{}", tabulator.name()),
+            );
+            assert!(ttest.starts_with(b"mmaes-campaign-snapshot v2\n"), "{leg}");
+            assert_eq!(
+                fnv1a(&order2),
+                order2_digest,
+                "{leg}: order-2 snapshot bytes changed"
+            );
+            assert_eq!(
+                fnv1a(&ttest),
+                ttest_digest,
+                "{leg}: t-test snapshot bytes changed"
+            );
         }
     }
 }
