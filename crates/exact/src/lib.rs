@@ -25,8 +25,16 @@
 //! else is irrelevant and held at zero. Supports in the Kronecker delta
 //! are 15–30 bits, so exhaustive enumeration is fast with the 64-lane
 //! bit-parallel simulator. Probes whose support exceeds a configurable
-//! bound are reported as [`ProbeVerdict::TooWide`] rather than silently
-//! skipped.
+//! bound, or whose observation is wider than a 128-bit key, are reported
+//! as [`ProbeVerdict::TooWide`] rather than silently skipped.
+//!
+//! Each batch of 64 assignments is packed and counted exactly as the
+//! statistical campaign does it (`mmaes_leakage::tabulate::Lanes` into a
+//! `Table`). Only the first secret value's table and the current one are
+//! held, so memory does not grow with the number of secret values, and a
+//! leaky set stops at the first secret value whose distribution differs:
+//! its cost (and [`ExactReport::cell_evals`]) covers only the secret
+//! values enumerated up to the witness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

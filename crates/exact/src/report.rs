@@ -51,7 +51,8 @@ pub enum ProbeVerdict {
         /// Variables enumerated.
         support_bits: usize,
     },
-    /// The support exceeded the configured enumeration bound; no verdict.
+    /// The support exceeded the configured enumeration bound, or the
+    /// observation is wider than a 128-bit key; no verdict.
     TooWide {
         /// Variables that would have to be enumerated.
         support_bits: usize,
@@ -77,7 +78,9 @@ pub struct ExactReport {
     pub design: String,
     /// Total simulator cell evaluations spent enumerating assignments
     /// (the throughput denominator for cell-evals/sec; probes skipped
-    /// as too wide contribute nothing).
+    /// as too wide contribute nothing, and a leaky probe stops at its
+    /// first differing secret value, so it contributes only the
+    /// assignments enumerated up to its witness).
     pub cell_evals: u64,
     /// Per-probe verdicts with the probe labels.
     pub verdicts: Vec<(String, ProbeVerdict)>,
@@ -115,7 +118,7 @@ impl ExactReport {
             .count()
     }
 
-    /// Probes skipped because their support was too wide.
+    /// Probes skipped because their support or observation was too wide.
     pub fn too_wide(&self) -> Vec<&str> {
         self.verdicts
             .iter()

@@ -1,8 +1,7 @@
 //! The exhaustive verifier.
 
-use std::collections::HashMap;
-
-use mmaes_leakage::{enumerate_probe_sets, ProbeModel, ProbeSet};
+use mmaes_leakage::tabulate::{Lanes, Table};
+use mmaes_leakage::{enumerate_probe_sets, EvaluationConfig, ProbeModel, ProbeSet};
 use mmaes_netlist::{Netlist, SecretId, SignalRole, StableCones, WireId};
 use mmaes_sim::{Simulator, LANES};
 use mmaes_telemetry::{Event, Observer, Stopwatch};
@@ -225,8 +224,12 @@ impl<'a> ExactVerifier<'a> {
         free.sort_unstable();
         free.dedup();
 
+        // Past 128 observed bits packed keys merge observations.
         let support_bits = conditioning.len() + free.len();
-        if support_bits > self.config.max_support_bits || conditioning.len() > 16 {
+        if support_bits > self.config.max_support_bits
+            || conditioning.len() > 16
+            || set.observation_bits(self.config.model) > u128::BITS as usize
+        {
             return ProbeVerdict::TooWide { support_bits };
         }
 
@@ -278,12 +281,19 @@ impl<'a> ExactVerifier<'a> {
             }
         }
 
+        // Count every lane through the campaign's packer and table
+        // (dense while its cells do not outnumber its samples). Under
+        // 64 assignments each repeats equally often: same probabilities.
+        let samples = (batches * LANES as u64) as usize;
+        let dense_bound = EvaluationConfig::default().max_table_keys.min(samples);
+        let new_table = || {
+            set.dense_index_width(self.config.model, dense_bound)
+                .map_or_else(Table::hashed, Table::dense)
+        };
         let mut simulator = Simulator::new(self.netlist);
-        let mut histograms: Vec<HashMap<u128, u64>> = (0..(1u64 << conditioning.len()))
-            .map(|_| HashMap::new())
-            .collect();
-
-        for (secret_assignment, histogram) in histograms.iter_mut().enumerate() {
+        let mut lanes = Lanes::for_set(set, self.config.model);
+        let mut tabulate = |secret_assignment: usize| {
+            let mut table = new_table();
             for batch in 0..batches {
                 simulator.reset();
                 for cycle in 0..=observe {
@@ -308,68 +318,74 @@ impl<'a> ExactVerifier<'a> {
                         simulator.eval();
                     }
                 }
-                // Pack each lane's observation and count it.
-                for lane in 0..lanes_used {
-                    let mut key: u128 = 0;
-                    let mut position = 0u32;
-                    for &wire in &set.observed {
-                        key |= (((simulator.value(wire) >> lane) & 1) as u128) << position;
-                        position += 1;
-                        if matches!(self.config.model, ProbeModel::GlitchTransition) {
-                            key |= (((simulator.prev_value(wire) >> lane) & 1) as u128) << position;
-                            position += 1;
-                        }
-                    }
-                    *histogram.entry(key).or_insert(0) += 1;
-                }
+                lanes.pack(&simulator, set, self.config.model);
+                table.absorb(&lanes, 0, usize::MAX);
             }
-        }
+            table
+        };
 
+        // Compare every conditional distribution against the first,
+        // stopping at the first assignment that differs.
+        let mut baseline = tabulate(0);
+        let witness = (1..1usize << conditioning.len()).find_map(|assignment| {
+            let mut current = tabulate(assignment);
+            first_difference(baseline.sorted_columns(), current.sorted_columns())
+                .map(|difference| (assignment, difference))
+        });
         *cell_evals += simulator.counters().cell_evals;
 
-        // Compare every conditional distribution against the first.
-        let total = (batches * lanes_used as u64) as f64;
+        let Some((assignment, (observation, count_a, count_b))) = witness else {
+            return ProbeVerdict::Secure {
+                support_bits,
+                enumerated: (1u64 << conditioning.len()) * batches * lanes_used as u64,
+            };
+        };
+        let total = baseline.samples() as f64;
         let describe = |assignment: usize| -> String {
-            conditioning
+            let terms = conditioning
                 .iter()
                 .enumerate()
                 .map(|(index, &(cycle, secret, bit))| {
-                    format!(
-                        "s{}[{bit}]@c{cycle}={}",
-                        secret.0,
-                        (assignment >> index) & 1
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",")
+                    let value = (assignment >> index) & 1;
+                    format!("s{}[{bit}]@c{cycle}={value}", secret.0)
+                });
+            terms.collect::<Vec<_>>().join(",")
         };
-        for (assignment, histogram) in histograms.iter().enumerate().skip(1) {
-            let baseline = &histograms[0];
-            let mut keys: Vec<u128> = baseline.keys().chain(histogram.keys()).copied().collect();
-            keys.sort_unstable();
-            keys.dedup();
-            for key in keys {
-                let count_a = baseline.get(&key).copied().unwrap_or(0);
-                let count_b = histogram.get(&key).copied().unwrap_or(0);
-                if count_a != count_b {
-                    return ProbeVerdict::Leaky {
-                        counterexample: Counterexample {
-                            secret_a: describe(0),
-                            secret_b: describe(assignment),
-                            observation: key,
-                            probability_a: count_a as f64 / total,
-                            probability_b: count_b as f64 / total,
-                        },
-                        support_bits,
-                    };
-                }
-            }
-        }
-        ProbeVerdict::Secure {
+        ProbeVerdict::Leaky {
+            counterexample: Counterexample {
+                secret_a: describe(0),
+                secret_b: describe(assignment),
+                observation,
+                probability_a: count_a as f64 / total,
+                probability_b: count_b as f64 / total,
+            },
             support_bits,
-            enumerated: (1u64 << conditioning.len()) * batches * lanes_used as u64,
         }
     }
+}
+
+/// The smallest key whose count differs between two sorted column
+/// lists (a missing key counts 0), with both counts: a merge walk.
+fn first_difference(a: &[(u128, [u64; 2])], b: &[(u128, [u64; 2])]) -> Option<(u128, u64, u64)> {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let Some(key) = a
+        .peek()
+        .into_iter()
+        .chain(b.peek())
+        .map(|entry| entry.0)
+        .min()
+    {
+        let count_a = a
+            .next_if(|entry| entry.0 == key)
+            .map_or(0, |entry| entry.1[0]);
+        let count_b = b
+            .next_if(|entry| entry.0 == key)
+            .map_or(0, |entry| entry.1[0]);
+        if count_a != count_b {
+            return Some((key, count_a, count_b));
+        }
+    }
+    None
 }
 
 /// Per-lane bit patterns for the first six free variables (the ones that
@@ -578,6 +594,46 @@ mod tests {
         );
         let report = verifier.verify_all();
         assert!(!report.too_wide().is_empty());
+    }
+
+    #[test]
+    fn observations_wider_than_a_key_get_no_verdict() {
+        // A probe on the last XOR observes 129 registers: reg(¬control),
+        // constant 1, first; 127 copies of reg(¬m); reg(s0 ⊕ s1), the
+        // secret itself, last. Packed into 128 bits, the secret's bit
+        // would land on the constant and the probe would look secure.
+        let mut builder = NetlistBuilder::new("wide_observation");
+        let control = builder.input("c", SignalRole::Control);
+        let mask = builder.input("m", SignalRole::Mask);
+        let s0 = builder.input("s0", share_role(0, 0));
+        let s1 = builder.input("s1", share_role(1, 0));
+        let not_control = builder.not(control);
+        let mut acc = builder.register(not_control);
+        for _ in 0..127 {
+            let not_mask = builder.not(mask);
+            let q = builder.register(not_mask);
+            acc = builder.xor2(acc, q);
+        }
+        let secret = builder.xor2(s0, s1);
+        let q = builder.register(secret);
+        let acc = builder.xor2(acc, q);
+        builder.output("acc", acc);
+        let netlist = builder.build().expect("valid");
+
+        let verifier = ExactVerifier::new(&netlist);
+        let cones = StableCones::new(&netlist);
+        let sets = enumerate_probe_sets(&netlist, &cones, 1, None, usize::MAX);
+        let set = sets
+            .iter()
+            .find(|set| set.observed.len() == 129)
+            .expect("the last XOR observes every register");
+        assert_eq!(
+            verifier.verify_probe(set),
+            ProbeVerdict::TooWide { support_bits: 3 }
+        );
+        let report = verifier.verify_all();
+        assert!(report.too_wide().contains(&set.label.as_str()), "{report}");
+        assert!(report.leak_found(), "the secret register itself leaks");
     }
 
     #[test]

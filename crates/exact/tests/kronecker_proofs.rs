@@ -5,9 +5,19 @@
 //! sharing and every randomness assignment in each probe's support is
 //! enumerated.
 
+mod common;
+
+use common::verdict_digest;
 use mmaes_circuits::build_kronecker;
 use mmaes_exact::{ExactConfig, ExactVerifier};
 use mmaes_masking::KroneckerRandomness;
+
+/// Verdict-listing digests of the schedules below, recorded before the
+/// verifier moved onto the shared packer and `Table` store: any change
+/// to a counterexample key, a probability or `enumerated` shows here.
+const EQ6_DIGEST: u64 = 0x989082f670cedf62;
+const FULL_DIGEST: u64 = 0xe2faed9786b33bb9;
+const R5_EQUALS_R6_DIGEST: u64 = 0xda222652d7efb7e5;
 
 fn verify(schedule: &KroneckerRandomness) -> mmaes_exact::ExactReport {
     let circuit = build_kronecker(schedule).expect("valid circuit");
@@ -33,6 +43,7 @@ fn verify(schedule: &KroneckerRandomness) -> mmaes_exact::ExactReport {
 fn e4_eq6_leak_is_proven_with_counterexample() {
     let report = verify(&KroneckerRandomness::de_meyer_eq6());
     assert!(report.leak_found(), "{report}");
+    assert_eq!(verdict_digest(&report), EQ6_DIGEST);
     // The witness quantifies a genuine distribution gap.
     let (label, counterexample) = report.leaks()[0];
     assert!(
@@ -45,6 +56,7 @@ fn e4_eq6_leak_is_proven_with_counterexample() {
 fn full_schedule_is_proven_first_order_secure() {
     let report = verify(&KroneckerRandomness::full());
     assert!(report.proven_secure(), "{report}");
+    assert_eq!(verdict_digest(&report), FULL_DIGEST);
 }
 
 #[test]
@@ -57,6 +69,7 @@ fn e5_eq9_is_proven_first_order_secure_under_glitches() {
 fn e6_r5_equals_r6_leak_is_proven() {
     let report = verify(&KroneckerRandomness::r5_equals_r6());
     assert!(report.leak_found(), "{report}");
+    assert_eq!(verdict_digest(&report), R5_EQUALS_R6_DIGEST);
 }
 
 #[test]

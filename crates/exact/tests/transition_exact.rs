@@ -8,10 +8,20 @@
 //! `t`, so masks reused across consecutive cycles cancel in the joint
 //! view.
 
+mod common;
+
+use common::verdict_digest;
 use mmaes_circuits::dom::dom_and;
 use mmaes_exact::{ExactConfig, ExactVerifier};
 use mmaes_leakage::ProbeModel;
 use mmaes_netlist::{NetlistBuilder, SecretId, SignalRole};
+
+/// Verdict-listing digests of the reports below, recorded before the
+/// verifier moved onto the shared packer and `Table` store.
+const FRESH_PAD_DIGEST: u64 = 0x28a69ed39330e25b;
+const REUSED_PAD_GLITCH_DIGEST: u64 = 0x012da11f54ebb5e7;
+const REUSED_PAD_TRANSITION_DIGEST: u64 = 0x785ca45b40e98847;
+const DOM_AND_DIGEST: u64 = 0x34c8e4f422b9ff2f;
 
 fn share_role(secret: u16, share: u8) -> SignalRole {
     SignalRole::Share {
@@ -44,6 +54,7 @@ fn fresh_per_cycle_masking_is_transition_secure() {
     )
     .verify_all();
     assert!(report.proven_secure(), "{report}");
+    assert_eq!(verdict_digest(&report), FRESH_PAD_DIGEST);
 }
 
 #[test]
@@ -78,6 +89,7 @@ fn cross_cycle_mask_reuse_is_caught_exactly() {
     )
     .verify_all();
     assert!(glitch.proven_secure(), "{glitch}");
+    assert_eq!(verdict_digest(&glitch), REUSED_PAD_GLITCH_DIGEST);
 
     // Transitions: the probe on q sees q(t-1) = s0(t-2) ⊕ m(t-3) and
     // q(t) = s0(t-1) ⊕ m(t-2) — still pads... the leak needs the same
@@ -118,6 +130,7 @@ fn cross_cycle_mask_reuse_is_caught_exactly() {
     // s0 alone (share 0) is uniform given the hidden share 1, so even
     // exposing it is not a *secret* leak — the verifier must prove that.
     assert!(transition.proven_secure(), "{transition}");
+    assert_eq!(verdict_digest(&transition), REUSED_PAD_TRANSITION_DIGEST);
 }
 
 #[test]
@@ -154,4 +167,5 @@ fn dom_and_gadget_is_exactly_transition_secure_with_fresh_masks() {
         "DOM-AND transition supports must be enumerable: {report}"
     );
     assert!(report.proven_secure(), "{report}");
+    assert_eq!(verdict_digest(&report), DOM_AND_DIGEST);
 }

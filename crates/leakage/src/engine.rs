@@ -7,8 +7,8 @@
 //! ```
 //!
 //! — with one fold path. [`Engine::run_batch`] simulates a batch and
-//! packs each probing set's 64 lane observations into a reused
-//! [`Observations`] buffer; [`Engine::fold_batch`] absorbs them into the
+//! packs each probing set's 64 lane observations into its reused
+//! [`Lanes`] buffer; [`Engine::fold_batch`] absorbs them into the
 //! live tables with [`Table::absorb`], strictly in batch order, and
 //! hands the frontier advance to [`Engine::after_batch`] — the single
 //! checkpoint / health / snapshot / early-stop / interrupt decision
@@ -40,7 +40,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
-use crate::probe::{ProbeModel, ProbeSet};
+use crate::probe::ProbeSet;
 use crate::snapshot::{self, SnapshotError, TableView};
 use crate::stats::pooling_summary;
 use crate::supervisor;
@@ -121,65 +121,13 @@ pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
     }
 }
 
-/// Where one probing set's packed lanes live in [`Observations`].
-#[derive(Clone, Copy)]
-enum Slot {
-    /// Position in [`Observations::indices`].
-    Index(usize),
-    /// Position in [`Observations::keys`].
-    Key(usize),
-}
-
-/// One batch's packed lane observations, one slot per probing set:
-/// `u32` indices for sets observing at most
-/// [`MAX_DENSE_WIDTH`](crate::tabulate::MAX_DENSE_WIDTH) bits, `u128`
-/// keys for wider ones. Allocated once per driver (or per in-flight
-/// batch in the pool) and rewritten whole by every batch attempt.
-pub(crate) struct Observations {
-    slots: Vec<Slot>,
-    indices: Vec<[u32; LANES]>,
-    keys: Vec<[u128; LANES]>,
-}
-
-impl Observations {
-    fn new(probe_sets: &[ProbeSet], model: ProbeModel) -> Self {
-        let mut indices = 0;
-        let mut keys = 0;
-        let slots: Vec<Slot> = probe_sets
-            .iter()
-            .map(|set| {
-                if set.observation_bits(model) <= crate::tabulate::MAX_DENSE_WIDTH {
-                    indices += 1;
-                    Slot::Index(indices - 1)
-                } else {
-                    keys += 1;
-                    Slot::Key(keys - 1)
-                }
-            })
-            .collect();
-        Observations {
-            slots,
-            indices: vec![[0; LANES]; indices],
-            keys: vec![[0; LANES]; keys],
-        }
-    }
-
-    /// Probing set `set`'s lanes, as [`Table::absorb`] takes them.
-    fn lanes(&self, set: usize) -> Lanes<'_> {
-        match self.slots[set] {
-            Slot::Index(slot) => Lanes::Indices(&self.indices[slot]),
-            Slot::Key(slot) => Lanes::Keys(&self.keys[slot]),
-        }
-    }
-}
-
 /// One completed batch: its packed observations, the lane → population
 /// mask, and the simulator work it cost.
 pub(crate) struct BatchOutcome {
     batch: u64,
     lane_groups: u64,
     stats: SimStats,
-    observations: Observations,
+    observations: Vec<Lanes>,
 }
 
 /// The coordinator-side campaign state. Only the fold stage mutates it,
@@ -256,7 +204,7 @@ fn run_batch_supervised<'a>(
     sim: &mut Simulator<'a>,
     batch: u64,
     perf: &PerfRecorder,
-    mut observations: Observations,
+    mut observations: Vec<Lanes>,
 ) -> Result<BatchOutcome, CampaignError> {
     let mut attempts = 0u32;
     loop {
@@ -341,7 +289,7 @@ impl Engine<'_> {
         sim: &mut Simulator,
         batch: u64,
         perf: &PerfRecorder,
-        observations: &mut Observations,
+        observations: &mut [Lanes],
     ) -> (u64, SimStats) {
         let config = self.config;
         // Each batch derives its own RNG from (seed, batch), so the
@@ -365,18 +313,8 @@ impl Engine<'_> {
             }
         }
         let _span = perf.span("tabulate");
-        let Observations {
-            slots,
-            indices,
-            keys,
-        } = observations;
-        for (set, slot) in self.probe_sets.iter().zip(slots.iter()) {
-            match *slot {
-                Slot::Index(slot) => {
-                    observation_indices(sim, set, config.model, &mut indices[slot])
-                }
-                Slot::Key(slot) => observation_keys(sim, set, config.model, &mut keys[slot]),
-            }
+        for (set, lanes) in self.probe_sets.iter().zip(observations.iter_mut()) {
+            lanes.pack(sim, set, config.model);
         }
         (lane_groups, sim.counters().delta_since(before))
     }
@@ -467,12 +405,8 @@ impl Engine<'_> {
         debug_assert_eq!(outcome.batch, state.batches_done, "fold order violated");
         {
             let _span = context.perf.span("merge");
-            for (set, table) in state.tables.iter_mut().enumerate() {
-                table.absorb(
-                    outcome.observations.lanes(set),
-                    outcome.lane_groups,
-                    self.config.max_table_keys,
-                );
+            for (table, lanes) in state.tables.iter_mut().zip(&outcome.observations) {
+                table.absorb(lanes, outcome.lane_groups, self.config.max_table_keys);
             }
         }
         state.folded.cycles += outcome.stats.cycles;
@@ -672,6 +606,16 @@ impl Engine<'_> {
         )
     }
 
+    /// A fresh observation buffer, one [`Lanes`] per probing set:
+    /// allocated once per driver (or per in-flight batch in the pool)
+    /// and rewritten whole by every batch attempt.
+    fn observations(&self) -> Vec<Lanes> {
+        self.probe_sets
+            .iter()
+            .map(|set| Lanes::for_set(set, self.config.model))
+            .collect()
+    }
+
     /// The inline driver: one simulator and one observation buffer on
     /// the calling thread, each batch folded as soon as it completes.
     fn run_inline(
@@ -680,7 +624,7 @@ impl Engine<'_> {
         state: &mut CampaignState,
     ) -> Result<(), CampaignError> {
         let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
-        let mut observations = Observations::new(self.probe_sets, self.config.model);
+        let mut observations = self.observations();
         for batch in state.batches_done..context.batches {
             let outcome = run_batch_supervised(self, &mut sim, batch, context.perf, observations)?;
             let stop = self.fold_batch(context, state, &outcome);
@@ -728,7 +672,7 @@ impl Engine<'_> {
         let stall_timeout_ms = faults.stall_timeout_ms();
         // First fatal worker verdict wins; later ones are dropped.
         let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
-        let spare: Mutex<Vec<Observations>> = Mutex::new(Vec::new());
+        let spare: Mutex<Vec<Vec<Lanes>>> = Mutex::new(Vec::new());
         // Bounded channel: backpressure keeps the reorder buffer (and
         // the observation buffers in flight) proportional to the thread
         // count even when one batch folds slowly (e.g. a checkpoint
@@ -758,9 +702,8 @@ impl Engine<'_> {
                             if batch >= context.batches {
                                 break;
                             }
-                            let observations = lock(spare).pop().unwrap_or_else(|| {
-                                Observations::new(self.probe_sets, self.config.model)
-                            });
+                            let observations =
+                                lock(spare).pop().unwrap_or_else(|| self.observations());
                             heartbeats.start(worker, batch);
                             let attempt = run_batch_supervised(
                                 self,
@@ -850,70 +793,6 @@ impl Engine<'_> {
 /// leave the data half-updated.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Packs each lane's extended observation of `set` into `keys`.
-///
-/// Up to 128 observed bits are packed exactly; beyond that, bits are
-/// folded with a deterministic 128-bit mix (collisions can only merge
-/// contingency columns — they can weaken detection, never fabricate it).
-fn observation_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel, keys: &mut [u128; LANES]) {
-    let bits = set.observation_bits(model);
-    keys.fill(0);
-    let mut position = 0usize;
-    let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
-        if position < 128 {
-            for (lane, key) in keys.iter_mut().enumerate() {
-                *key |= (((word >> lane) & 1) as u128) << position;
-            }
-        } else {
-            const PRIME: u128 = 0x0000_0100_0000_01b3_0000_0100_0000_01b3;
-            for (lane, key) in keys.iter_mut().enumerate() {
-                *key = key.wrapping_mul(PRIME) ^ (((word >> lane) & 1) as u128 + 2);
-            }
-        }
-    };
-    for &wire in &set.observed {
-        push_word(keys, sim.value(wire), position);
-        position += 1;
-        if matches!(model, ProbeModel::GlitchTransition) {
-            push_word(keys, sim.prev_value(wire), position);
-            position += 1;
-        }
-    }
-    debug_assert_eq!(position, bits);
-}
-
-/// [`observation_keys`] specialized to sets of at most
-/// [`MAX_DENSE_WIDTH`](crate::tabulate::MAX_DENSE_WIDTH) observed bits:
-/// packs each lane's observation into a `u32` index using the *same*
-/// bit layout (observed bit `i` at index bit `i`), so the index is
-/// bit-for-bit the zero-extended `u128` key — which is why a dense
-/// table's linear scan serializes in the exact sorted-key order the
-/// hashed store emits. No set this narrow reaches the overflow-mix arm.
-fn observation_indices(
-    sim: &Simulator,
-    set: &ProbeSet,
-    model: ProbeModel,
-    indices: &mut [u32; LANES],
-) {
-    let bits = set.observation_bits(model);
-    debug_assert!(bits <= crate::tabulate::MAX_DENSE_WIDTH);
-    indices.fill(0);
-    let mut position = 0u32;
-    let mut push_word = |indices: &mut [u32; LANES], word: u64| {
-        for (lane, index) in indices.iter_mut().enumerate() {
-            *index |= (((word >> lane) & 1) as u32) << position;
-        }
-        position += 1;
-    };
-    for &wire in &set.observed {
-        push_word(indices, sim.value(wire));
-        if matches!(model, ProbeModel::GlitchTransition) {
-            push_word(indices, sim.prev_value(wire));
-        }
-    }
-    debug_assert_eq!(position as usize, bits);
 }
 
 #[cfg(test)]

@@ -15,12 +15,14 @@
 //!   the dense rule admits, and the differential-testing reference
 //!   (`--tabulator hashed`).
 //!
-//! Both stores take one batch at a time through [`Table::absorb`]: the
-//! 64 lane observations the engine packed, plus the lane → population
-//! mask. The engine folds batches into the live tables in batch order
-//! on one thread, so the hashed store's cap/overflow rule (first `cap`
-//! distinct keys win, ties within a batch broken by key order) sees
-//! the same sequence on every thread count.
+//! Both stores take one batch at a time through [`Table::absorb`]: one
+//! [`Lanes`] buffer of 64 packed lane observations, plus the lane →
+//! population mask. [`Lanes::pack`] is the one key packer, used by the
+//! campaign engine and the exact verifier (`mmaes-exact`) alike. The
+//! engine folds batches into the live tables in batch order on one
+//! thread, so the hashed store's cap/overflow rule (first `cap` distinct
+//! keys win, ties within a batch broken by key order) sees the same
+//! sequence on every thread count.
 //!
 //! Byte-identity across the two stores is structural, not statistical:
 //! a dense-eligible set has at most `2^width ≤ max_table_keys` distinct
@@ -36,7 +38,9 @@
 
 use std::collections::HashMap;
 
-use mmaes_sim::LANES;
+use mmaes_sim::{Simulator, LANES};
+
+use crate::probe::{ProbeModel, ProbeSet};
 
 /// Widest packed observation a dense table will direct-index: the
 /// packed key must fit a `u32` (the per-lane index type). The memory
@@ -91,26 +95,107 @@ impl TabulatorMode {
     }
 }
 
-/// One batch's packed observations of one probing set, one per lane,
-/// as [`Table::absorb`] takes them. Observation bit `i` sits at bit
-/// `i` of the packed value in both forms, so an index is bit for bit
+/// One probing set's packed observations of one batch, one per lane,
+/// as [`Table::absorb`] takes them: the one place the key layout lives.
+///
+/// Observed bit `i` sits at bit `i` of the packed value (under
+/// [`ProbeModel::GlitchTransition`] each wire's previous-cycle bit
+/// follows its current bit), in both forms, so an index is bit for bit
 /// its zero-extended key.
-#[derive(Debug, Clone, Copy)]
-pub enum Lanes<'a> {
+#[derive(Debug, Clone)]
+pub enum Lanes {
     /// `u32` indices: sets observing at most [`MAX_DENSE_WIDTH`] bits.
-    Indices(&'a [u32; LANES]),
+    Indices(Box<[u32; LANES]>),
     /// `u128` keys: wider sets.
-    Keys(&'a [u128; LANES]),
+    Keys(Box<[u128; LANES]>),
 }
 
-impl Lanes<'_> {
+impl Lanes {
+    /// The buffer for `set` under `model`: indices when its observation
+    /// fits [`MAX_DENSE_WIDTH`] bits, keys otherwise.
+    pub fn for_set(set: &ProbeSet, model: ProbeModel) -> Self {
+        if set.observation_bits(model) <= MAX_DENSE_WIDTH {
+            Lanes::Indices(Box::new([0; LANES]))
+        } else {
+            Lanes::Keys(Box::new([0; LANES]))
+        }
+    }
+
+    /// Packs each lane's extended observation of `set` from `sim`'s
+    /// current (and, under transitions, previous-cycle) values,
+    /// overwriting the whole buffer.
+    ///
+    /// Up to 128 observed bits are packed exactly; beyond that, bits
+    /// are folded with a deterministic 128-bit mix (collisions can only
+    /// merge contingency columns — they can weaken detection, never
+    /// fabricate it, which is why the exact verifier refuses such sets).
+    pub fn pack(&mut self, sim: &Simulator, set: &ProbeSet, model: ProbeModel) {
+        match self {
+            Lanes::Indices(indices) => pack_indices(sim, set, model, indices),
+            Lanes::Keys(keys) => pack_keys(sim, set, model, keys),
+        }
+    }
+
     /// Lane `lane`'s observation as a `u128` key.
-    fn key(self, lane: usize) -> u128 {
+    fn key(&self, lane: usize) -> u128 {
         match self {
             Lanes::Indices(indices) => u128::from(indices[lane]),
             Lanes::Keys(keys) => keys[lane],
         }
     }
+}
+
+/// The [`Lanes::Keys`] packer.
+fn pack_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel, keys: &mut [u128; LANES]) {
+    let bits = set.observation_bits(model);
+    keys.fill(0);
+    let mut position = 0usize;
+    let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
+        if position < 128 {
+            for (lane, key) in keys.iter_mut().enumerate() {
+                *key |= (((word >> lane) & 1) as u128) << position;
+            }
+        } else {
+            const PRIME: u128 = 0x0000_0100_0000_01b3_0000_0100_0000_01b3;
+            for (lane, key) in keys.iter_mut().enumerate() {
+                *key = key.wrapping_mul(PRIME) ^ (((word >> lane) & 1) as u128 + 2);
+            }
+        }
+    };
+    for &wire in &set.observed {
+        push_word(keys, sim.value(wire), position);
+        position += 1;
+        if matches!(model, ProbeModel::GlitchTransition) {
+            push_word(keys, sim.prev_value(wire), position);
+            position += 1;
+        }
+    }
+    debug_assert_eq!(position, bits);
+}
+
+/// The [`Lanes::Indices`] packer: [`pack_keys`] specialized to sets of
+/// at most [`MAX_DENSE_WIDTH`] observed bits, with the same layout —
+/// which is why a dense table's linear scan serializes in the exact
+/// sorted-key order the hashed store emits. No set this narrow reaches
+/// the overflow-mix arm.
+fn pack_indices(sim: &Simulator, set: &ProbeSet, model: ProbeModel, indices: &mut [u32; LANES]) {
+    let bits = set.observation_bits(model);
+    debug_assert!(bits <= MAX_DENSE_WIDTH);
+    indices.fill(0);
+    let mut position = 0u32;
+    let mut push_word = |indices: &mut [u32; LANES], word: u64| {
+        for (lane, index) in indices.iter_mut().enumerate() {
+            *index |= (((word >> lane) & 1) as u32) << position;
+        }
+        position += 1;
+    };
+    for &wire in &set.observed {
+        push_word(indices, sim.value(wire));
+        if matches!(model, ProbeModel::GlitchTransition) {
+            push_word(indices, sim.prev_value(wire));
+        }
+    }
+    debug_assert_eq!(position as usize, bits);
 }
 
 /// The two table stores. Dense cells are indexed by the packed
@@ -197,7 +282,7 @@ impl Table {
     /// Panics if a dense table receives an observation beyond its
     /// width — an internal invariant violation, since observations are
     /// packed from exactly the bits the width was computed from.
-    pub fn absorb(&mut self, lanes: Lanes<'_>, lane_groups: u64, cap: usize) {
+    pub fn absorb(&mut self, lanes: &Lanes, lane_groups: u64, cap: usize) {
         self.sorted = None;
         self.samples += LANES as u64;
         let group = |lane: usize| ((lane_groups >> lane) & 1) as usize;
@@ -327,6 +412,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmaes_netlist::{Netlist, NetlistBuilder, SignalRole, WireId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -370,6 +456,43 @@ mod tests {
         }
     }
 
+    /// The exact verifier's former per-lane packer, kept as the
+    /// reference layout for [`Lanes::pack`]: exact up to 128 bits.
+    fn oracle_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel) -> [u128; LANES] {
+        std::array::from_fn(|lane| {
+            let mut key: u128 = 0;
+            let mut position = 0u32;
+            for &wire in &set.observed {
+                key |= (((sim.value(wire) >> lane) & 1) as u128) << position;
+                position += 1;
+                if matches!(model, ProbeModel::GlitchTransition) {
+                    key |= (((sim.prev_value(wire) >> lane) & 1) as u128) << position;
+                    position += 1;
+                }
+            }
+            key
+        })
+    }
+
+    /// Primary inputs of the packer differential netlist.
+    const PACK_INPUTS: usize = 70;
+
+    /// [`PACK_INPUTS`] mask inputs, each also registered: the inputs
+    /// followed by the register outputs, 140 observable wires.
+    fn pack_netlist() -> (Netlist, Vec<WireId>) {
+        let mut builder = NetlistBuilder::new("pack");
+        let inputs: Vec<WireId> = (0..PACK_INPUTS)
+            .map(|index| builder.input(format!("m{index}"), SignalRole::Mask))
+            .collect();
+        let mut wires = inputs.clone();
+        for (index, &input) in inputs.iter().enumerate() {
+            let q = builder.register(input);
+            builder.output(format!("q{index}"), q);
+            wires.push(q);
+        }
+        (builder.build().expect("valid"), wires)
+    }
+
     #[test]
     fn mode_parses_its_own_names() {
         for mode in [TabulatorMode::Dense, TabulatorMode::Hashed] {
@@ -385,8 +508,8 @@ mod tests {
         let mut hashed = Table::hashed();
         let indices = batch(&[3, 3, 15, 0, 3]);
         let lane_groups = 0x0123_4567_89ab_cdefu64;
-        dense.absorb(Lanes::Indices(&indices), lane_groups, 16);
-        hashed.absorb(Lanes::Indices(&indices), lane_groups, 16);
+        dense.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, 16);
+        hashed.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, 16);
         assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
         assert_eq!(dense.g_columns(), hashed.g_columns());
         assert_eq!(dense.samples(), hashed.samples());
@@ -405,8 +528,8 @@ mod tests {
         let expected: Vec<(u128, [u64; 2])> = reference.counts.into_iter().collect();
         for mut table in [Table::dense(3), Table::hashed()] {
             let mut by_key = table.clone();
-            table.absorb(Lanes::Indices(&indices), lane_groups, 8);
-            by_key.absorb(Lanes::Keys(&keys), lane_groups, 8);
+            table.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, 8);
+            by_key.absorb(&Lanes::Keys(Box::new(keys)), lane_groups, 8);
             assert_eq!(table.sorted_columns(), expected.as_slice());
             assert_eq!(by_key.sorted_columns(), expected.as_slice());
             assert_eq!(table.samples(), LANES as u64);
@@ -416,16 +539,16 @@ mod tests {
     #[test]
     fn cached_columns_invalidate_on_absorption() {
         let mut table = Table::dense(2);
-        table.absorb(Lanes::Indices(&batch(&[1])), 0, 4);
+        table.absorb(&Lanes::Indices(Box::new(batch(&[1]))), 0, 4);
         assert_eq!(table.sorted_columns().len(), 1);
-        table.absorb(Lanes::Indices(&batch(&[2])), u64::MAX, 4);
+        table.absorb(&Lanes::Indices(Box::new(batch(&[2]))), u64::MAX, 4);
         assert_eq!(table.sorted_columns().len(), 2, "stale cache served");
-        table.absorb(Lanes::Keys(&[0u128; LANES]), 0, 4);
+        table.absorb(&Lanes::Keys(Box::new([0u128; LANES])), 0, 4);
         assert_eq!(table.sorted_columns().len(), 3);
         let mut hashed = Table::hashed();
-        hashed.absorb(Lanes::Indices(&batch(&[1])), 0, 4);
+        hashed.absorb(&Lanes::Indices(Box::new(batch(&[1]))), 0, 4);
         assert_eq!(hashed.sorted_columns().len(), 1);
-        hashed.absorb(Lanes::Indices(&batch(&[2])), 0, 4);
+        hashed.absorb(&Lanes::Indices(Box::new(batch(&[2]))), 0, 4);
         assert_eq!(hashed.sorted_columns().len(), 2, "stale cache served");
     }
 
@@ -437,7 +560,11 @@ mod tests {
         // one that already served columns. A stale memo at any of these
         // points would silently corrupt every post-resume checkpoint.
         let mut table = Table::dense(3);
-        table.absorb(Lanes::Indices(&batch(&[1, 5])), 0xaaaa_aaaa_aaaa_aaaa, 8);
+        table.absorb(
+            &Lanes::Indices(Box::new(batch(&[1, 5]))),
+            0xaaaa_aaaa_aaaa_aaaa,
+            8,
+        );
         let saved = table.sorted_columns().to_vec(); // memoizes
         let overflow = table.overflow();
         let samples = table.samples();
@@ -445,7 +572,7 @@ mod tests {
         // Resume into a table that has already memoized different
         // contents: restore must drop that memo.
         let mut resumed = Table::dense(3);
-        resumed.absorb(Lanes::Indices(&batch(&[2])), 0, 8);
+        resumed.absorb(&Lanes::Indices(Box::new(batch(&[2]))), 0, 8);
         assert_eq!(resumed.sorted_columns().len(), 1); // memoizes
         resumed.restore(saved.clone(), overflow, samples);
         assert_eq!(resumed.sorted_columns(), saved.as_slice(), "stale memo");
@@ -453,7 +580,7 @@ mod tests {
 
         // And absorption after the restore must invalidate again, so
         // the first post-resume checkpoint sees the merged counts.
-        resumed.absorb(Lanes::Indices(&batch(&[2])), u64::MAX, 8);
+        resumed.absorb(&Lanes::Indices(Box::new(batch(&[2]))), u64::MAX, 8);
         assert_eq!(resumed.sorted_columns().len(), saved.len() + 1);
         assert_eq!(resumed.g_columns().len(), saved.len() + 1);
     }
@@ -466,7 +593,7 @@ mod tests {
         let indices = batch(&[4, 3, 2, 1]);
         // Lanes holding keys 4 and 3 are random, keys 2 and 1 fixed.
         let lane_groups = 0x3333_3333_3333_3333u64;
-        table.absorb(Lanes::Indices(&indices), lane_groups, 2);
+        table.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, 2);
         assert_eq!(
             table.sorted_columns(),
             &[(1u128, [16u64, 0u64]), (2, [16, 0])]
@@ -475,7 +602,7 @@ mod tests {
         assert_eq!(table.g_columns().len(), 3, "overflow is one more column");
         assert_eq!(table.samples(), LANES as u64);
         // A later batch still counts retained keys and pools new ones.
-        table.absorb(Lanes::Indices(&batch(&[1, 9])), 0, 2);
+        table.absorb(&Lanes::Indices(Box::new(batch(&[1, 9]))), 0, 2);
         assert_eq!(
             table.sorted_columns(),
             &[(1u128, [48u64, 0u64]), (2, [16, 0])]
@@ -494,7 +621,7 @@ mod tests {
         );
         // The fallen-back store keeps absorbing the narrow indices the
         // engine packs for the set.
-        table.absorb(Lanes::Indices(&batch(&[1])), 0, 1 << 20);
+        table.absorb(&Lanes::Indices(Box::new(batch(&[1]))), 0, 1 << 20);
         assert_eq!(
             table.sorted_columns(),
             &[(1u128, [69u64, 6u64]), (999, [1, 2])]
@@ -512,7 +639,7 @@ mod tests {
         assert_eq!(dense.resident_bytes(), 48 + 16 * 16);
         let mut hashed = Table::hashed();
         assert_eq!(hashed.resident_bytes(), 48);
-        hashed.absorb(Lanes::Indices(&batch(&[1, 2])), 0, 8);
+        hashed.absorb(&Lanes::Indices(Box::new(batch(&[1, 2]))), 0, 8);
         assert_eq!(hashed.resident_bytes(), 48 + 2 * 48);
     }
 
@@ -550,8 +677,8 @@ mod tests {
             let mut dense = Table::dense(width);
             let mut hashed = Table::hashed();
             for (indices, lane_groups) in batches_of(&raw, cap as u64 - 1) {
-                dense.absorb(Lanes::Indices(&indices), lane_groups, cap);
-                hashed.absorb(Lanes::Keys(&widened(&indices)), lane_groups, cap);
+                dense.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, cap);
+                hashed.absorb(&Lanes::Keys(Box::new(widened(&indices))), lane_groups, cap);
             }
             prop_assert_eq!(dense.g_columns(), hashed.g_columns());
             prop_assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
@@ -572,7 +699,7 @@ mod tests {
             let mut table = Table::hashed();
             let mut reference = SortedRuns::default();
             for (indices, lane_groups) in &batches {
-                table.absorb(Lanes::Indices(indices), *lane_groups, cap);
+                table.absorb(&Lanes::Indices(Box::new(*indices)), *lane_groups, cap);
                 reference.absorb(&widened(indices), *lane_groups, cap);
             }
             let expected: Vec<(u128, [u64; 2])> = reference.counts.into_iter().collect();
@@ -614,13 +741,62 @@ mod tests {
             let mut straight = Table::hashed();
             let mut shuffled = Table::hashed();
             for table in [&mut straight, &mut shuffled] {
-                table.absorb(Lanes::Indices(&prior), prior_groups, cap);
+                table.absorb(&Lanes::Indices(Box::new(prior)), prior_groups, cap);
             }
-            straight.absorb(Lanes::Indices(&indices), lane_groups, cap);
-            shuffled.absorb(Lanes::Indices(&permuted), permuted_groups, cap);
+            straight.absorb(&Lanes::Indices(Box::new(indices)), lane_groups, cap);
+            shuffled.absorb(&Lanes::Indices(Box::new(permuted)), permuted_groups, cap);
             prop_assert_eq!(straight.g_columns(), shuffled.g_columns());
             prop_assert_eq!(straight.overflow(), shuffled.overflow());
             prop_assert_eq!(straight.samples(), shuffled.samples());
+        }
+
+        /// The shared packer against the exact verifier's former
+        /// per-lane loop, on a 70-input netlist driven with random words
+        /// for three cycles: for a narrow (at most 32-bit) and a wide
+        /// (33–128-bit) set under both probe models, the packed keys
+        /// equal the oracle's, and a narrow set's `u32` indices are its
+        /// zero-extended `u128` keys.
+        #[test]
+        fn packed_lanes_match_the_per_lane_oracle(
+            words in prop::collection::vec(any::<u64>(), 3 * PACK_INPUTS),
+            picks in prop::collection::vec(0..2 * PACK_INPUTS, 128),
+            narrow in 1usize..=MAX_DENSE_WIDTH,
+            wide in MAX_DENSE_WIDTH + 1..=128,
+        ) {
+            let (netlist, wires) = pack_netlist();
+            let mut sim = Simulator::new(&netlist);
+            for (cycle, words) in words.chunks(PACK_INPUTS).enumerate() {
+                for (&input, &word) in wires.iter().zip(words) {
+                    sim.set_input(input, word);
+                }
+                if cycle < 2 {
+                    sim.step();
+                } else {
+                    sim.eval();
+                }
+            }
+            for (model, per_wire) in [(ProbeModel::Glitch, 1), (ProbeModel::GlitchTransition, 2)] {
+                for bits in [narrow, wide] {
+                    let count = bits.div_ceil(per_wire);
+                    let set = ProbeSet {
+                        wires: Vec::new(),
+                        observed: picks[..count].iter().map(|&pick| wires[pick]).collect(),
+                        label: String::new(),
+                    };
+                    let bits = set.observation_bits(model);
+                    let expected = oracle_keys(&sim, &set, model);
+                    let mut lanes = Lanes::for_set(&set, model);
+                    lanes.pack(&sim, &set, model);
+                    let packed: [u128; LANES] = std::array::from_fn(|lane| lanes.key(lane));
+                    prop_assert_eq!(packed, expected);
+                    prop_assert_eq!(matches!(lanes, Lanes::Indices(_)), bits <= MAX_DENSE_WIDTH);
+                    if let Lanes::Indices(indices) = lanes {
+                        let mut keys = Lanes::Keys(Box::new([0; LANES]));
+                        keys.pack(&sim, &set, model);
+                        prop_assert!(matches!(&keys, Lanes::Keys(keys) if **keys == widened(&indices)));
+                    }
+                }
+            }
         }
     }
 }
