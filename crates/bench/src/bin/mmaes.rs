@@ -10,7 +10,6 @@
 //! mmaes verify   <design> [options]        exhaustive (SILVER-style) proof
 //! mmaes selftest [options]                 fault-injection detector check
 //! mmaes chaos    [options]                 fault-containment chaos harness
-//! mmaes bench    [options]                 performance-regression workload
 //! mmaes top      <status.json | --addr A>  live campaign dashboard
 //! ```
 //!
@@ -77,23 +76,13 @@
 //! — sites `worker` (keyed by batch index), `snapshot.save`,
 //! `status.write`, `metrics.write`; actions `ioerr`, `truncate`,
 //! `panic`, `stall[(MS)]`.
-//! Bench options: `--quick`, `--label NAME`, `--baseline FILE`,
-//! `--threshold PCT`, `--out FILE`, `--quiet`, `--threads N`,
-//! `--evaluator compiled|interpreted`, `--tabulator dense|hashed`
-//! (the latter three apply to the campaign workloads; the simulate
-//! workloads always measure both evaluators and the `campaign-hashed`
-//! workload always pins the hashed store, so the record carries the
-//! per-schedule compiled-over-interpreted and dense-over-hashed
-//! speedups).
 //!
 //! `evaluate` and `verify` always end with one machine-readable JSON
 //! summary line on stdout (schema v4: includes `elapsed_ms`,
 //! `traces_per_sec`, `cell_evals`, `interrupted`, `threads`); `--metrics`
 //! additionally records the full event stream (campaign checkpoints with
 //! per-probe-set `-log10(p)` trajectories, threshold crossings, `--perf`
-//! phase snapshots, the final verdict) as JSON lines. `bench` writes a
-//! schema-versioned `BENCH_<label>.json` and exits non-zero when
-//! `--baseline` reveals a throughput regression.
+//! phase snapshots, the final verdict) as JSON lines.
 //!
 //! Long campaigns are crash-safe: `--snapshot FILE` persists the full
 //! campaign state atomically at every checkpoint, SIGINT/SIGTERM stops
@@ -106,7 +95,7 @@
 //!
 //! Exit codes (all subcommands): 0 clean/reproduced, 1 leakage found or
 //! selftest miss, 2 invalid input (bad flag, unknown design, corrupt
-//! snapshot), 3 interrupted.
+//! snapshot, unwritable output file), 3 interrupted.
 
 use std::process::exit;
 
@@ -148,7 +137,6 @@ fn main() {
         "verify" => verify(&arguments[1..], &faults),
         "selftest" => selftest(&arguments[1..], &faults),
         "chaos" => chaos(&arguments[1..]),
-        "bench" => mmaes_bench::bench::run(&arguments[1..], faults),
         "top" => mmaes_bench::top::run(&arguments[1..]),
         "--help" | "-h" | "help" => usage(),
         other => {
@@ -185,10 +173,6 @@ fn usage() {
          mmaes chaos    [--traces N] [--seed N] [--threads N]\n\
          \u{20}                  [--tabulator dense|hashed] [--statistic gtest|ttest]\n\
          \u{20}                  [--failpoints SPEC] [--quiet]\n\
-         mmaes bench    [--quick] [--label NAME] [--baseline FILE]\n\
-         \u{20}                  [--threshold PCT] [--out FILE] [--quiet] [--threads N]\n\
-         \u{20}                  [--evaluator compiled|interpreted]\n\
-         \u{20}                  [--tabulator dense|hashed] [--statistic gtest|ttest]\n\
          mmaes top      <status.json> | --addr HOST:PORT\n\
          \u{20}                  [--interval SECS] [--once]\n\
          \n\
@@ -196,7 +180,8 @@ fn usage() {
          \u{20}        aes[:SCHEDULE] | unprotected-sbox\n\
          \n\
          exit codes: 0 clean/reproduced | 1 leakage found or selftest miss |\n\
-         \u{20}           2 invalid input | 3 interrupted (SIGINT/SIGTERM; state saved\n\
+         \u{20}           2 invalid input or unwritable output file |\n\
+         \u{20}           3 interrupted (SIGINT/SIGTERM; state saved\n\
          \u{20}           with --snapshot, continue with --resume)"
     );
 }
@@ -353,7 +338,7 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
         Some(path) => {
             std::fs::write(path, rendered).unwrap_or_else(|error| {
                 eprintln!("cannot write {path}: {error}");
-                exit(1);
+                exit(exit_code::INVALID_INPUT);
             });
             println!("wrote {path}");
         }
@@ -361,7 +346,7 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
             let path = format!("{}.{extension}", design.netlist.name());
             std::fs::write(&path, rendered).unwrap_or_else(|error| {
                 eprintln!("cannot write {path}: {error}");
-                exit(1);
+                exit(exit_code::INVALID_INPUT);
             });
             println!("wrote {path}");
         }
@@ -407,7 +392,7 @@ fn evaluate(arguments: &[String], faults: Faults) {
     if let Some(path) = csv_path {
         std::fs::write(&path, report.to_csv()).unwrap_or_else(|error| {
             eprintln!("cannot write {path}: {error}");
-            exit(1);
+            exit(exit_code::INVALID_INPUT);
         });
         if !cli.quiet {
             println!("per-probe results written to {path}");
@@ -654,7 +639,7 @@ fn write_chrome_trace(observer: &Observer, path: Option<&str>, scope: &str, quie
     let trace = chrome_trace(scope, &snapshot);
     std::fs::write(path, trace).unwrap_or_else(|error| {
         eprintln!("cannot write {path}: {error}");
-        exit(1);
+        exit(exit_code::INVALID_INPUT);
     });
     if !quiet {
         println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
@@ -761,7 +746,7 @@ fn explain(arguments: &[String], faults: Faults) {
             .collect();
         std::fs::write(path, document).unwrap_or_else(|error| {
             eprintln!("cannot write {path}: {error}");
-            exit(1);
+            exit(exit_code::INVALID_INPUT);
         });
         if !quiet {
             println!("{} evidence bundle(s) written to {path}", bundles.len());
@@ -771,7 +756,7 @@ fn explain(arguments: &[String], faults: Faults) {
         let document = mmaes_bench::html::render_report(&report, &bundles, spec, &design.schedule);
         std::fs::write(path, document).unwrap_or_else(|error| {
             eprintln!("cannot write {path}: {error}");
-            exit(1);
+            exit(exit_code::INVALID_INPUT);
         });
         if !quiet {
             println!("HTML report written to {path}");

@@ -37,13 +37,14 @@
 //! follow [`exit_code`]: 0 reproduced/clean, 1 mismatch/leakage,
 //! 2 invalid input, 3 interrupted.
 //!
-//! The [`bench`] module implements the `mmaes bench` regression harness;
-//! the [`html`] module renders the `mmaes explain --report` document.
+//! The [`html`] module renders the `mmaes explain --report` document;
+//! the [`top`] module is the `mmaes top` live dashboard. The repo's
+//! benchmark is `perfbench/` (see `BENCHMARK.json`), a separate package
+//! that does not depend on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod html;
 pub mod top;
 
@@ -60,7 +61,8 @@ pub mod exit_code {
     /// Leakage found / experiment did not reproduce.
     pub const FINDING: i32 = 1;
     /// Malformed command line, unknown design, corrupt or mismatched
-    /// snapshot, invalid netlist.
+    /// snapshot, invalid netlist, or an output file (`--csv`, `--trace`,
+    /// `--bundles`, `--report`, an export target) that cannot be written.
     pub const INVALID_INPUT: i32 = 2;
     /// Interrupted (SIGINT/SIGTERM) — state saved, resumable.
     pub const INTERRUPTED: i32 = 3;
@@ -95,7 +97,6 @@ pub fn run_faults(spec: &str) -> Result<Faults, String> {
 /// renderer; this lists the artifact formats layered on top.
 pub fn schema_versions() -> Vec<(String, u64)> {
     vec![
-        ("bench_schema".to_owned(), bench::BENCH_SCHEMA_VERSION),
         (
             "snapshot_schema".to_owned(),
             mmaes_leakage::SNAPSHOT_SCHEMA_VERSION,

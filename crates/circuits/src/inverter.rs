@@ -12,7 +12,7 @@
 //!   change out. Much smaller — the area shape hardware designs rely on.
 //!
 //! Both are verified exhaustively against the field inverse; their area
-//! difference is quantified in the `kronecker_configs`/area benches.
+//! difference is pinned by `tests::tower_inverter_is_much_smaller`.
 
 use mmaes_gf256::matrix::BitMatrix8;
 use mmaes_gf256::tower::{self, TowerField};

@@ -6,11 +6,12 @@
 //! campaign sharded across worker threads stays cheap to instrument.
 //! This module renders those aggregates into the Trace Event Format
 //! that `chrome://tracing`, Perfetto, and `speedscope` all read, so a
-//! sharded campaign's phase breakdown becomes visually inspectable.
+//! campaign's phase breakdown (`mmaes evaluate|explain --trace FILE`)
+//! becomes visually inspectable.
 //!
 //! Because only aggregates exist, the exporter *synthesizes* a
-//! deterministic timeline: within each scope (one trace "thread"),
-//! phases are laid end to end in name order, each as one complete
+//! deterministic timeline: one scope (one trace "thread") whose phases
+//! are laid end to end in name order, each as one complete
 //! (`"ph":"X"`) event whose duration is the phase's total time and
 //! whose `args` carry the real statistics (count, min/max/mean).
 //! Counters become `"ph":"C"` counter samples at the scope origin.
@@ -20,114 +21,121 @@
 use crate::json::{array, JsonObject};
 use crate::perf::PerfSnapshot;
 
-/// Accumulates scopes (one per campaign, workload, or worker) into a
-/// single Chrome-trace document.
-#[derive(Debug, Default)]
-pub struct ChromeTraceBuilder {
-    events: Vec<String>,
-    next_tid: u64,
-}
-
-impl ChromeTraceBuilder {
-    /// An empty trace.
-    pub fn new() -> Self {
-        ChromeTraceBuilder {
-            events: vec![JsonObject::new()
-                .string("name", "process_name")
-                .string("ph", "M")
-                .unsigned("pid", 1)
-                .raw("args", &JsonObject::new().string("name", "mmaes").finish())
-                .finish()],
-            next_tid: 0,
-        }
-    }
-
-    /// Adds one snapshot as its own trace thread named `scope`. Phases
-    /// (already sorted by name) are laid end to end; counters sample at
-    /// the scope origin.
-    pub fn add_scope(&mut self, scope: &str, snapshot: &PerfSnapshot) {
-        self.next_tid += 1;
-        let tid = self.next_tid;
-        self.events.push(
+/// Renders one snapshot as a complete trace document with a single
+/// trace thread named `scope`. Phases (already sorted by name) are laid
+/// end to end; counters sample at the scope origin.
+pub fn chrome_trace(scope: &str, snapshot: &PerfSnapshot) -> String {
+    const TID: u64 = 1;
+    let mut events = vec![
+        JsonObject::new()
+            .string("name", "process_name")
+            .string("ph", "M")
+            .unsigned("pid", 1)
+            .raw("args", &JsonObject::new().string("name", "mmaes").finish())
+            .finish(),
+        JsonObject::new()
+            .string("name", "thread_name")
+            .string("ph", "M")
+            .unsigned("pid", 1)
+            .unsigned("tid", TID)
+            .raw("args", &JsonObject::new().string("name", scope).finish())
+            .finish(),
+    ];
+    let mut offset_us = 0.0f64;
+    for phase in &snapshot.phases {
+        let duration_us = phase.total_ns as f64 / 1e3;
+        events.push(
             JsonObject::new()
-                .string("name", "thread_name")
-                .string("ph", "M")
+                .string("name", &phase.name)
+                .string("cat", scope)
+                .string("ph", "X")
                 .unsigned("pid", 1)
-                .unsigned("tid", tid)
-                .raw("args", &JsonObject::new().string("name", scope).finish())
+                .unsigned("tid", TID)
+                .float("ts", offset_us)
+                .float("dur", duration_us)
+                .raw(
+                    "args",
+                    &JsonObject::new()
+                        .unsigned("count", phase.count)
+                        .unsigned("total_ns", phase.total_ns)
+                        .unsigned("min_ns", phase.min_ns)
+                        .unsigned("max_ns", phase.max_ns)
+                        .float("mean_us", phase.mean_ns() / 1e3)
+                        .finish(),
+                )
                 .finish(),
         );
-        let mut offset_us = 0.0f64;
-        for phase in &snapshot.phases {
-            let duration_us = phase.total_ns as f64 / 1e3;
-            self.events.push(
-                JsonObject::new()
-                    .string("name", &phase.name)
-                    .string("cat", scope)
-                    .string("ph", "X")
-                    .unsigned("pid", 1)
-                    .unsigned("tid", tid)
-                    .float("ts", offset_us)
-                    .float("dur", duration_us)
-                    .raw(
-                        "args",
-                        &JsonObject::new()
-                            .unsigned("count", phase.count)
-                            .unsigned("total_ns", phase.total_ns)
-                            .unsigned("min_ns", phase.min_ns)
-                            .unsigned("max_ns", phase.max_ns)
-                            .float("mean_us", phase.mean_ns() / 1e3)
-                            .finish(),
-                    )
-                    .finish(),
-            );
-            offset_us += duration_us;
-        }
-        for (name, value) in &snapshot.counters {
-            self.events.push(
-                JsonObject::new()
-                    .string("name", name)
-                    .string("ph", "C")
-                    .unsigned("pid", 1)
-                    .unsigned("tid", tid)
-                    .float("ts", 0.0)
-                    .raw("args", &JsonObject::new().unsigned(name, *value).finish())
-                    .finish(),
-            );
-        }
+        offset_us += duration_us;
     }
-
-    /// Closes the trace and returns the JSON document.
-    pub fn finish(self) -> String {
-        JsonObject::new()
-            .raw("traceEvents", &array(self.events))
-            .string("displayTimeUnit", "ms")
-            .finish()
+    for (name, value) in &snapshot.counters {
+        events.push(
+            JsonObject::new()
+                .string("name", name)
+                .string("ph", "C")
+                .unsigned("pid", 1)
+                .unsigned("tid", TID)
+                .float("ts", 0.0)
+                .raw("args", &JsonObject::new().unsigned(name, *value).finish())
+                .finish(),
+        );
     }
-}
-
-/// Renders one snapshot as a complete single-scope trace document —
-/// the common case (`mmaes evaluate --perf --trace FILE`).
-pub fn chrome_trace(scope: &str, snapshot: &PerfSnapshot) -> String {
-    let mut builder = ChromeTraceBuilder::new();
-    builder.add_scope(scope, snapshot);
-    builder.finish()
+    JsonObject::new()
+        .raw("traceEvents", &array(events))
+        .string("displayTimeUnit", "ms")
+        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::perf::PerfRecorder;
-    use std::time::Duration;
+    use crate::perf::PhaseStats;
 
+    /// Two `simulate` spans of 800 µs and 200 µs, one `tabulate` span
+    /// of 50 µs, and a `traces` counter of 128.
     fn sample_snapshot() -> PerfSnapshot {
-        let recorder = PerfRecorder::enabled();
-        recorder.record_duration("simulate", Duration::from_micros(800));
-        recorder.record_duration("simulate", Duration::from_micros(200));
-        recorder.record_duration("tabulate", Duration::from_micros(50));
-        recorder.add("traces", 128);
-        recorder.snapshot().expect("enabled")
+        let mut simulate_buckets = [0; crate::perf::BUCKET_COUNT];
+        simulate_buckets[8] = 1;
+        simulate_buckets[10] = 1;
+        let mut tabulate_buckets = [0; crate::perf::BUCKET_COUNT];
+        tabulate_buckets[6] = 1;
+        PerfSnapshot {
+            phases: vec![
+                PhaseStats {
+                    name: "simulate".to_owned(),
+                    count: 2,
+                    total_ns: 1_000_000,
+                    min_ns: 200_000,
+                    max_ns: 800_000,
+                    buckets: simulate_buckets,
+                },
+                PhaseStats {
+                    name: "tabulate".to_owned(),
+                    count: 1,
+                    total_ns: 50_000,
+                    min_ns: 50_000,
+                    max_ns: 50_000,
+                    buckets: tabulate_buckets,
+                },
+            ],
+            counters: vec![("traces".to_owned(), 128)],
+        }
+    }
+
+    #[test]
+    fn export_bytes_are_pinned() {
+        let expected = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"mmaes"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"campaign"}},"#,
+            r#"{"name":"simulate","cat":"campaign","ph":"X","pid":1,"tid":1,"ts":0,"dur":1000,"#,
+            r#""args":{"count":2,"total_ns":1000000,"min_ns":200000,"max_ns":800000,"mean_us":500}},"#,
+            r#"{"name":"tabulate","cat":"campaign","ph":"X","pid":1,"tid":1,"ts":1000,"dur":50,"#,
+            r#""args":{"count":1,"total_ns":50000,"min_ns":50000,"max_ns":50000,"mean_us":50}},"#,
+            r#"{"name":"traces","ph":"C","pid":1,"tid":1,"ts":0,"args":{"traces":128}}],"#,
+            r#""displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(chrome_trace("campaign", &sample_snapshot()), expected);
     }
 
     #[test]
@@ -176,23 +184,6 @@ mod tests {
             chrome_trace("campaign", &snapshot),
             chrome_trace("campaign", &snapshot)
         );
-    }
-
-    #[test]
-    fn multi_scope_traces_use_distinct_thread_ids() {
-        let snapshot = sample_snapshot();
-        let mut builder = ChromeTraceBuilder::new();
-        builder.add_scope("shard-0", &snapshot);
-        builder.add_scope("shard-1", &snapshot);
-        let parsed = parse(&builder.finish()).expect("valid JSON");
-        let tids: std::collections::BTreeSet<u64> = parsed
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .expect("array")
-            .iter()
-            .filter_map(|event| event.get("tid").and_then(JsonValue::as_u64))
-            .collect();
-        assert_eq!(tids, [1u64, 2].into_iter().collect());
     }
 
     #[test]

@@ -1,80 +1,6 @@
-//! Monotonic counters and wall-clock spans.
+//! Wall-clock spans.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A monotonic event counter, safe to share across threads.
-///
-/// Relaxed ordering everywhere: counters feed progress reports, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub const fn new() -> Self {
-        Counter {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `amount` to the counter.
-    pub fn add(&self, amount: u64) {
-        self.value.fetch_add(amount, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    pub fn increment(&self) {
-        self.add(1);
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// How much the counter advanced since a previously sampled value.
-    ///
-    /// Saturates at zero instead of underflowing when the counter was
-    /// [`reset`](Counter::reset) between the two samples — interval
-    /// rates then read "no progress" for one interval rather than a
-    /// garbage spike of ~2⁶⁴.
-    pub fn delta_since(&self, previous: u64) -> u64 {
-        self.get().saturating_sub(previous)
-    }
-
-    /// Resets the counter to zero, returning the count it held.
-    ///
-    /// Used by interval-rate consumers that drain the counter each
-    /// reporting tick instead of carrying their own last-seen sample.
-    pub fn reset(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
-    }
-
-    /// Folds another counter's current value into this one.
-    ///
-    /// Merge direction matters for interval rates: absorbing a worker's
-    /// counter after [`reset`](Counter::reset) accumulates only what the
-    /// worker counted since its own last drain.
-    pub fn absorb(&self, other: &Counter) {
-        self.add(other.get());
-    }
-}
-
-/// A throughput over a measured interval: `delta` per `seconds`.
-///
-/// Returns 0 for zero (or negative) elapsed time — the first tick of a
-/// rate window has no measurable span yet, and "no data" must not
-/// render as a division-by-zero infinity in exposition output.
-pub fn interval_rate(delta: u64, seconds: f64) -> f64 {
-    if seconds > 0.0 {
-        delta as f64 / seconds
-    } else {
-        0.0
-    }
-}
 
 /// A wall-clock span timer.
 #[derive(Debug, Clone, Copy)]
@@ -121,53 +47,6 @@ impl Default for Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let counter = Counter::new();
-        counter.increment();
-        counter.add(41);
-        assert_eq!(counter.get(), 42);
-    }
-
-    #[test]
-    fn zero_elapsed_interval_rate_is_zero_not_infinite() {
-        assert_eq!(interval_rate(1_000_000, 0.0), 0.0);
-        assert_eq!(interval_rate(1_000_000, -1.0), 0.0);
-        assert_eq!(interval_rate(0, 0.0), 0.0);
-        // A measurable interval produces the plain quotient.
-        assert_eq!(interval_rate(500, 0.25), 2000.0);
-    }
-
-    #[test]
-    fn delta_since_saturates_across_reset() {
-        let counter = Counter::new();
-        counter.add(100);
-        let sample = counter.get();
-        counter.add(28);
-        assert_eq!(counter.delta_since(sample), 28);
-        // Reset between samples: the stale high-water sample must not
-        // underflow into a ~2^64 delta.
-        assert_eq!(counter.reset(), 128);
-        assert_eq!(counter.delta_since(sample), 0);
-        counter.add(7);
-        assert_eq!(counter.delta_since(0), 7);
-    }
-
-    #[test]
-    fn absorb_after_reset_merges_only_the_new_interval() {
-        let total = Counter::new();
-        let worker = Counter::new();
-        worker.add(40);
-        total.absorb(&worker);
-        assert_eq!(total.get(), 40);
-        // Drain the worker, let it count a fresh interval, absorb again:
-        // the total accumulates 40 + 2, not 40 + 42.
-        worker.reset();
-        worker.add(2);
-        total.absorb(&worker);
-        assert_eq!(total.get(), 42);
-    }
 
     #[test]
     fn stopwatch_is_monotone() {

@@ -228,7 +228,7 @@ pub struct RunSummary {
     pub threads: u64,
     /// Additional artifact schema versions rendered into `build_info`
     /// (schema v6) beyond the always-present event schema — e.g.
-    /// `("bench_schema", 2)`, `("snapshot_schema", 1)`. The producing
+    /// `("snapshot_schema", 2)`, `("status_schema", 1)`. The producing
     /// binary lists the schemas of every artifact it can write.
     pub schemas: Vec<(String, u64)>,
     /// Subsystems that degraded to in-memory operation during the run
@@ -383,10 +383,9 @@ pub enum Event {
     },
     /// A per-phase timing/counter snapshot from an enabled
     /// [`crate::PerfRecorder`] (emitted at the end of an instrumented
-    /// run, and by `mmaes bench` per workload).
+    /// run).
     PerfSnapshot {
-        /// What was instrumented (`"campaign"`, `"exact"`, a bench
-        /// workload id, …).
+        /// What was instrumented (`"campaign"`, `"exact"`, …).
         scope: String,
         /// The frozen per-phase stats and counters.
         snapshot: PerfSnapshot,
@@ -818,12 +817,12 @@ mod tests {
             Some(EVENT_SCHEMA_VERSION)
         );
         let line = RunSummary {
-            schemas: vec![("bench_schema".into(), 2), ("snapshot_schema".into(), 1)],
+            schemas: vec![("snapshot_schema".into(), 2), ("status_schema".into(), 1)],
             ..RunSummary::default()
         }
         .to_json_line();
-        assert!(line.contains("\"bench_schema\":2"), "{line}");
-        assert!(line.contains("\"snapshot_schema\":1"), "{line}");
+        assert!(line.contains("\"snapshot_schema\":2"), "{line}");
+        assert!(line.contains("\"status_schema\":1"), "{line}");
     }
 
     #[test]

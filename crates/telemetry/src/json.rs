@@ -4,8 +4,8 @@
 //! The writer covers what the event schema needs: flat objects, nested
 //! arrays of objects, strings, numbers, booleans. Field order is
 //! insertion order, so run records diff cleanly. The reader ([`parse`])
-//! is a small recursive-descent parser used to load `BENCH_*.json`
-//! baselines and to validate emitted records in tests.
+//! is a small recursive-descent parser used by `mmaes top` to read
+//! status documents and by tests to validate emitted records.
 
 use std::fmt::Write as _;
 

@@ -16,14 +16,13 @@
 //! * three bundled [`Sink`]s — [`HumanProgressSink`] (stderr: traces/s,
 //!   ETA, running max `-log10(p)`), [`JsonlSink`] (a replayable run
 //!   record, one JSON object per line), and [`MemorySink`] (tests);
-//! * [`Counter`] / [`Stopwatch`] primitives for monotonic counting and
-//!   wall-clock spans;
+//! * a [`Stopwatch`] for wall-clock spans;
 //! * a performance-observability layer ([`perf`]): scoped [`Span`]
 //!   timers, named counters, and fixed-bucket duration histograms in a
 //!   [`PerfRecorder`] carried by the [`Observer`] — near-zero overhead
-//!   when disabled, `perf_snapshot` events and `BENCH_*.json` records
-//!   when enabled; [`chrome_trace`] renders frozen snapshots into
-//!   deterministic `chrome://tracing` JSON timelines;
+//!   when disabled, `perf_snapshot` events when enabled;
+//!   [`chrome_trace`] renders a frozen snapshot into a deterministic
+//!   single-scope `chrome://tracing` JSON timeline;
 //! * a live-status layer ([`metrics`], [`status`]): a lock-cheap
 //!   metrics registry with deterministic Prometheus text exposition
 //!   and an optional `--metrics-addr` server on `std::net` serving
@@ -54,8 +53,8 @@ pub mod perf;
 mod sink;
 pub mod status;
 
-pub use chrome_trace::{chrome_trace, ChromeTraceBuilder};
-pub use counters::{interval_rate, Counter, Stopwatch};
+pub use chrome_trace::chrome_trace;
+pub use counters::Stopwatch;
 pub use event::{
     Checkpoint, Event, HealthCheckpoint, ProbeHealth, ProbePoint, RunSummary, EVENT_SCHEMA_VERSION,
 };
@@ -63,5 +62,5 @@ pub use faults::{DegradedEntry, Fault, Faults};
 pub use metrics::{MetricsRegistry, MetricsServer, MetricsSink};
 pub use observer::Observer;
 pub use perf::{PerfRecorder, PerfSnapshot, PhaseStats, Span};
-pub use sink::{HumanProgressSink, JsonlSink, MemorySink, NullSink, Sink};
+pub use sink::{HumanProgressSink, JsonlSink, MemorySink, Sink};
 pub use status::{StatusFileSink, StatusModel, STATUS_SCHEMA_VERSION};

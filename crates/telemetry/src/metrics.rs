@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::event::Event;
-use crate::perf::{bucket_index, bucket_lower_bound_us, PhaseStats, BUCKET_COUNT};
+use crate::perf::{bucket_lower_bound_us, PhaseStats, BUCKET_COUNT};
 use crate::sink::Sink;
 use crate::status::StatusModel;
 
@@ -99,32 +99,10 @@ impl MetricsRegistry {
         *registry.counters.entry(sanitize(name)).or_insert(0) += delta;
     }
 
-    /// The current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        let registry = self.inner.registry.lock().unwrap();
-        registry.counters.get(&sanitize(name)).copied().unwrap_or(0)
-    }
-
     /// Sets a gauge to `value`, creating it as needed.
     pub fn gauge_set(&self, name: &str, value: f64) {
         let mut registry = self.inner.registry.lock().unwrap();
         registry.gauges.insert(sanitize(name), value);
-    }
-
-    /// The current value of a gauge, when set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let registry = self.inner.registry.lock().unwrap();
-        registry.gauges.get(&sanitize(name)).copied()
-    }
-
-    /// Records one duration observation into a histogram (the perf
-    /// layer's log2-µs buckets).
-    pub fn observe_duration(&self, name: &str, duration: Duration) {
-        let mut registry = self.inner.registry.lock().unwrap();
-        let histogram = registry.histograms.entry(sanitize(name)).or_default();
-        histogram.buckets[bucket_index(duration)] += 1;
-        histogram.count += 1;
-        histogram.sum_us += duration.as_micros();
     }
 
     /// Folds a frozen perf phase into a histogram named
@@ -387,7 +365,7 @@ fn handle_request(mut stream: TcpStream, registry: &MetricsRegistry) -> io::Resu
 mod tests {
     use super::*;
     use crate::event::{Checkpoint, ProbePoint};
-    use crate::perf::bucket_lower_bound_us;
+    use crate::perf::bucket_index;
 
     #[test]
     fn rendering_is_deterministic_and_sorted() {
@@ -408,9 +386,21 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_bounded_like_perf() {
         let registry = MetricsRegistry::new();
-        registry.observe_duration("latency", Duration::from_micros(3));
-        registry.observe_duration("latency", Duration::from_micros(3));
-        registry.observe_duration("latency", Duration::from_secs(40));
+        // Two 3 µs spans and one 40 s span.
+        let mut buckets = [0; BUCKET_COUNT];
+        buckets[bucket_index(Duration::from_micros(3))] = 2;
+        buckets[bucket_index(Duration::from_secs(40))] = 1;
+        registry.absorb_phase(
+            "mmaes",
+            &PhaseStats {
+                name: "latency".to_owned(),
+                count: 3,
+                total_ns: 40_000_006_000,
+                min_ns: 3_000,
+                max_ns: 40_000_000_000,
+                buckets,
+            },
+        );
         let body = registry.render_prometheus();
         // 3 µs lands in the bucket whose upper bound is the first
         // lower bound above 3; the 40 s outlier only shows at +Inf.
@@ -419,13 +409,18 @@ mod tests {
             .find(|&lower| lower > 3)
             .unwrap();
         assert!(
-            body.contains(&format!("latency_bucket{{le=\"{bound}\"}} 2")),
+            body.contains(&format!(
+                "mmaes_latency_duration_us_bucket{{le=\"{bound}\"}} 2"
+            )),
             "{body}"
         );
-        assert!(body.contains("latency_bucket{le=\"+Inf\"} 3"), "{body}");
-        assert!(body.contains("latency_count 3"), "{body}");
         assert!(
-            body.contains(&format!("latency_sum {}", 6 + 40_000_000)),
+            body.contains("mmaes_latency_duration_us_bucket{le=\"+Inf\"} 3"),
+            "{body}"
+        );
+        assert!(body.contains("mmaes_latency_duration_us_count 3"), "{body}");
+        assert!(
+            body.contains(&format!("mmaes_latency_duration_us_sum {}", 6 + 40_000_000)),
             "{body}"
         );
     }
@@ -434,7 +429,6 @@ mod tests {
     fn metric_names_are_sanitized() {
         let registry = MetricsRegistry::new();
         registry.counter_add("weird name/with-chars", 1);
-        assert_eq!(registry.counter("weird name/with-chars"), 1);
         assert!(registry
             .render_prometheus()
             .contains("weird_name_with_chars 1"));
@@ -464,8 +458,12 @@ mod tests {
                 leaking: false,
             }],
         }));
-        assert_eq!(registry.counter("mmaes_campaigns_started_total"), 1);
-        assert_eq!(registry.gauge("mmaes_traces"), Some(640.0));
+        let body = registry.render_prometheus();
+        assert!(
+            body.contains("\nmmaes_campaigns_started_total 1\n"),
+            "{body}"
+        );
+        assert!(body.contains("\nmmaes_traces 640\n"), "{body}");
         // The /status document tracks the same checkpoint.
         let status = crate::json::parse(&registry.status()).expect("status parses");
         assert_eq!(status.get("traces").and_then(|v| v.as_u64()), Some(640));

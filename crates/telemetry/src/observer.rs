@@ -18,7 +18,7 @@ use crate::sink::Sink;
 /// recorder defaults to disabled; attach an enabled one with
 /// [`Observer::with_perf`] (the `--perf` flag). Events and perf are
 /// independent: a null observer with an enabled recorder still times
-/// phases (`mmaes bench` uses exactly that).
+/// phases (`--perf` or `--trace` without `--metrics`).
 #[derive(Debug, Default, Clone)]
 pub struct Observer {
     sinks: Option<SharedSinks>,

@@ -23,8 +23,9 @@
 //!
 //! [`PerfRecorder::snapshot`] freezes everything into a
 //! [`PerfSnapshot`], which serializes into the `perf_snapshot` event
-//! (see `DESIGN.md § Observability`) and into `mmaes bench`'s
-//! `BENCH_*.json` records.
+//! (see `DESIGN.md § Observability`), renders as the `--trace` Chrome
+//! trace ([`crate::chrome_trace`]), and feeds perfbench's per-layer
+//! metrics.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -127,12 +128,6 @@ impl PerfSnapshot {
             .map(|&(_, value)| value)
     }
 
-    /// Total recorded time across all phases, fractional milliseconds.
-    /// Phases overlap when spans nest, so this can exceed wall time.
-    pub fn total_ms(&self) -> f64 {
-        self.phases.iter().map(PhaseStats::total_ms).sum()
-    }
-
     /// Renders the snapshot's payload fields into an object under way.
     pub(crate) fn fill_json(&self, object: JsonObject) -> JsonObject {
         let mut counters = JsonObject::new();
@@ -178,6 +173,17 @@ struct PerfInner {
     counters: Mutex<BTreeMap<&'static str, u64>>,
 }
 
+impl PerfInner {
+    fn record(&self, phase: &'static str, duration: Duration) {
+        self.phases
+            .lock()
+            .expect("no span panics while holding the phase lock")
+            .entry(phase)
+            .or_default()
+            .record(duration);
+    }
+}
+
 /// A cloneable handle for per-phase wall-time accounting.
 ///
 /// Clones share storage, so a recorder handed to a campaign and kept by
@@ -218,20 +224,6 @@ impl PerfRecorder {
                 .inner
                 .as_ref()
                 .map(|inner| (Arc::clone(inner), phase, Instant::now())),
-        }
-    }
-
-    /// Records an already-measured duration for `phase` (for call sites
-    /// where a guard is awkward).
-    pub fn record_duration(&self, phase: &'static str, duration: Duration) {
-        if let Some(inner) = &self.inner {
-            inner
-                .phases
-                .lock()
-                .unwrap()
-                .entry(phase)
-                .or_default()
-                .record(duration);
         }
     }
 
@@ -344,14 +336,7 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((inner, phase, started)) = self.active.take() {
-            let elapsed = started.elapsed();
-            inner
-                .phases
-                .lock()
-                .unwrap()
-                .entry(phase)
-                .or_default()
-                .record(elapsed);
+            inner.record(phase, started.elapsed());
         }
     }
 }
@@ -359,6 +344,16 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records an already-measured duration for `phase`, so tests get
+    /// exact totals without reading the clock.
+    fn record(recorder: &PerfRecorder, phase: &'static str, duration: Duration) {
+        recorder
+            .inner
+            .as_ref()
+            .expect("enabled")
+            .record(phase, duration);
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {
@@ -378,7 +373,7 @@ mod tests {
         for _ in 0..3 {
             let _span = recorder.span("simulate");
         }
-        recorder.record_duration("simulate", Duration::from_micros(500));
+        record(&recorder, "simulate", Duration::from_micros(500));
         let snapshot = recorder.snapshot().expect("enabled");
         let phase = snapshot.phase("simulate").expect("recorded");
         assert_eq!(phase.count, 4);
@@ -428,11 +423,11 @@ mod tests {
     #[test]
     fn absorb_merges_phases_and_counters_across_recorders() {
         let main = PerfRecorder::enabled();
-        main.record_duration("simulate", Duration::from_micros(10));
+        record(&main, "simulate", Duration::from_micros(10));
         main.add("traces", 64);
         let worker = PerfRecorder::enabled();
-        worker.record_duration("simulate", Duration::from_micros(2));
-        worker.record_duration("tabulate", Duration::from_micros(5));
+        record(&worker, "simulate", Duration::from_micros(2));
+        record(&worker, "tabulate", Duration::from_micros(5));
         worker.add("traces", 128);
         main.absorb(&worker);
         let snapshot = main.snapshot().expect("enabled");
@@ -477,9 +472,9 @@ mod tests {
     #[test]
     fn bucket_counts_land_where_the_index_says() {
         let recorder = PerfRecorder::enabled();
-        recorder.record_duration("phase", Duration::from_nanos(100));
-        recorder.record_duration("phase", Duration::from_micros(1));
-        recorder.record_duration("phase", Duration::from_micros(9));
+        record(&recorder, "phase", Duration::from_nanos(100));
+        record(&recorder, "phase", Duration::from_micros(1));
+        record(&recorder, "phase", Duration::from_micros(9));
         let snapshot = recorder.snapshot().expect("enabled");
         let phase = snapshot.phase("phase").expect("phase");
         assert_eq!(phase.buckets[0], 1);
@@ -510,7 +505,7 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json() {
         let recorder = PerfRecorder::enabled();
-        recorder.record_duration("g_test", Duration::from_micros(42));
+        record(&recorder, "g_test", Duration::from_micros(42));
         recorder.add("traces", 7);
         let snapshot = recorder.snapshot().expect("enabled");
         let json = snapshot.fill_json(JsonObject::new()).finish();

@@ -22,15 +22,6 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// Discards everything. The zero-cost default — an [`crate::Observer`]
-/// with no sinks never even constructs events.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn on_event(&mut self, _event: &Event) {}
-}
-
 /// Writes one JSON object per line — a replayable run record
 /// (`--metrics FILE.jsonl`).
 ///
@@ -126,12 +117,6 @@ impl HumanProgressSink {
             last_line: None,
             min_interval: Duration::from_millis(200),
         }
-    }
-
-    /// Overrides the checkpoint throttle interval.
-    pub fn with_min_interval(mut self, interval: Duration) -> Self {
-        self.min_interval = interval;
-        self
     }
 
     fn throttled(&mut self) -> bool {
