@@ -6,6 +6,7 @@
 //! The run passes when the sweep reproduces that qualitative picture
 //! under the transition-extended model (cross-cycle reuse is invisible
 //! to glitch-only probes): spacing 1 leaks, spacing 8 stays clean.
+use mmaes_bench::outln;
 use mmaes_circuits::kronecker_lfsr::build_kronecker_with_lfsr;
 use mmaes_leakage::{EvaluationConfig, FixedVsRandom, ProbeModel};
 use mmaes_masking::KroneckerRandomness;
@@ -13,9 +14,11 @@ use mmaes_masking::KroneckerRandomness;
 fn main() {
     let run = mmaes_bench::RunOptions::from_args();
     let budget = &run.budget;
-    println!(
+    outln!(
         "{:<10} {:<26} {:<26}",
-        "spacing", "glitch-extended", "glitch+transition"
+        "spacing",
+        "glitch-extended",
+        "glitch+transition"
     );
     let mut total_traces = 0u64;
     let mut worst = 0.0f64;
@@ -54,7 +57,7 @@ fn main() {
                 max
             ));
         }
-        println!("{spacing:<10} {:<26} {:<26}", cells[0], cells[1]);
+        outln!("{spacing:<10} {:<26} {:<26}", cells[0], cells[1]);
     }
     let narrow_leaks = transition_passed.contains(&(1, false));
     let wide_clean = transition_passed.contains(&(8, true));

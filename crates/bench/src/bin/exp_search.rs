@@ -19,6 +19,7 @@
 //! of them survive transitions, and the 6-bit sweep matches the
 //! `r7 ∈ {r1..r4}` family exactly.
 
+use mmaes_bench::outln;
 use mmaes_circuits::build_kronecker;
 use mmaes_exact::{ExactConfig, ExactVerifier};
 use mmaes_leakage::{EvaluationConfig, FixedVsRandom, ProbeModel};
@@ -45,7 +46,7 @@ fn main() {
     let mut total_traces = 0u64;
     let mut worst = 0.0f64;
 
-    println!(
+    outln!(
         "=== sweep 1: 4-bit pool, fresh first layer, r5/r6/r7 ∈ {{f0..f3}} (64 candidates) ===\n"
     );
     let mut glitch_secure = Vec::new();
@@ -71,17 +72,17 @@ fn main() {
             }
         }
     }
-    println!(
+    outln!(
         "{} of 64 candidates proven glitch-secure (G7 region):",
         glitch_secure.len()
     );
     for &(r5, r6, r7) in &glitch_secure {
-        println!("  r5=f{r5} r6=f{r6} r7=f{r7}");
+        outln!("  r5=f{r5} r6=f{r6} r7=f{r7}");
     }
     let eq9_found = glitch_secure.contains(&(3, 1, 2));
-    println!("\nEq. 9 (r5=f3, r6=f1, r7=f2) rediscovered: {eq9_found}");
+    outln!("\nEq. 9 (r5=f3, r6=f1, r7=f2) rediscovered: {eq9_found}");
 
-    println!("\n=== transitions over the glitch-secure 4-bit candidates ===\n");
+    outln!("\n=== transitions over the glitch-secure 4-bit candidates ===\n");
     let mut transition_survivors = 0;
     for &(r5, r6, r7) in &glitch_secure {
         let schedule = schedule_with_tail(r5, r6, r7);
@@ -106,16 +107,16 @@ fn main() {
         worst = worst.max(report.worst().map(|r| r.minus_log10_p).unwrap_or(0.0));
         if report.passed() {
             transition_survivors += 1;
-            println!("  r5=f{r5} r6=f{r6} r7=f{r7}: PASS under transitions (!)");
+            outln!("  r5=f{r5} r6=f{r6} r7=f{r7}: PASS under transitions (!)");
         }
     }
-    println!(
+    outln!(
         "{transition_survivors} of {} glitch-secure 4-bit schedules survive transitions \
          (paper: none of them do)",
         glitch_secure.len()
     );
 
-    println!("\n=== sweep 2: 6-bit pool, r7 ∈ {{f0..f5}} under glitch+transition ===\n");
+    outln!("\n=== sweep 2: 6-bit pool, r7 ∈ {{f0..f5}} under glitch+transition ===\n");
     let mut sweep2_mismatches = 0usize;
     for r7 in 0..6u16 {
         let slots: Vec<MaskSlot> = (0..6)
@@ -145,7 +146,7 @@ fn main() {
         worst = worst.max(report.worst().map(|r| r.minus_log10_p).unwrap_or(0.0));
         let expected = r7 < 4; // the paper's family: r7 = r1..r4
         sweep2_mismatches += usize::from(report.passed() != expected);
-        println!(
+        outln!(
             "  r7 = f{r7} (= r{}): {}  (paper expects {})",
             r7 + 1,
             if report.passed() { "PASS" } else { "FAIL" },

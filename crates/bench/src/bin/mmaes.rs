@@ -99,7 +99,7 @@
 
 use std::process::exit;
 
-use mmaes_bench::exit_code;
+use mmaes_bench::{exit_code, outln};
 use mmaes_circuits::{
     build_kronecker, build_masked_aes, build_masked_sbox, sbox::build_unprotected_sbox,
     InverterKind, SboxOptions,
@@ -187,16 +187,16 @@ fn usage() {
 }
 
 fn schedules() {
-    println!("first-order schedules (see the paper's Eq. 6/Eq. 9 and §IV):");
+    outln!("first-order schedules (see the paper's Eq. 6/Eq. 9 and §IV):");
     for schedule in KroneckerRandomness::first_order_catalog() {
-        println!("  {schedule}");
+        outln!("  {schedule}");
     }
-    println!("second-order schedules:");
+    outln!("second-order schedules:");
     for schedule in [
         KroneckerRandomness::full_order2(),
         KroneckerRandomness::de_meyer_13_reconstruction(),
     ] {
-        println!("  {schedule}");
+        outln!("  {schedule}");
     }
 }
 
@@ -311,8 +311,8 @@ fn stats(arguments: &[String]) {
         exit(2);
     };
     let design = build_design(spec);
-    println!("{}", NetlistStats::of(&design.netlist));
-    println!("  by scope (top 15):");
+    outln!("{}", NetlistStats::of(&design.netlist));
+    outln!("  by scope (top 15):");
     let mut by_scope: Vec<(String, usize)> = NetlistStats::cells_by_scope(&design.netlist)
         .into_iter()
         .collect();
@@ -323,7 +323,7 @@ fn stats(arguments: &[String]) {
         } else {
             scope
         };
-        println!("    {scope:<40} {count:>6}");
+        outln!("    {scope:<40} {count:>6}");
     }
 }
 
@@ -340,7 +340,7 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
                 eprintln!("cannot write {path}: {error}");
                 exit(exit_code::INVALID_INPUT);
             });
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
         None => {
             let path = format!("{}.{extension}", design.netlist.name());
@@ -348,7 +348,7 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
                 eprintln!("cannot write {path}: {error}");
                 exit(exit_code::INVALID_INPUT);
             });
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
     }
 }
@@ -387,7 +387,7 @@ fn evaluate(arguments: &[String], faults: Faults) {
     let stopwatch = Stopwatch::start();
     let report = cli.campaign(&design, &observer).run_or_exit();
     if !cli.quiet {
-        println!("{report}");
+        outln!("{report}");
     }
     if let Some(path) = csv_path {
         std::fs::write(&path, report.to_csv()).unwrap_or_else(|error| {
@@ -395,7 +395,7 @@ fn evaluate(arguments: &[String], faults: Faults) {
             exit(exit_code::INVALID_INPUT);
         });
         if !cli.quiet {
-            println!("per-probe results written to {path}");
+            outln!("per-probe results written to {path}");
         }
     }
     let summary = cli.summary("mmaes evaluate", spec, &design, &report, &stopwatch);
@@ -642,7 +642,7 @@ fn write_chrome_trace(observer: &Observer, path: Option<&str>, scope: &str, quie
         exit(exit_code::INVALID_INPUT);
     });
     if !quiet {
-        println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
+        outln!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
     }
 }
 
@@ -686,7 +686,7 @@ fn explain(arguments: &[String], faults: Faults) {
             exit(exit_code::INVALID_INPUT);
         });
     if !quiet {
-        println!("{report}");
+        outln!("{report}");
     }
 
     // Forensics: one evidence bundle per flagged probing set. An
@@ -749,7 +749,7 @@ fn explain(arguments: &[String], faults: Faults) {
             exit(exit_code::INVALID_INPUT);
         });
         if !quiet {
-            println!("{} evidence bundle(s) written to {path}", bundles.len());
+            outln!("{} evidence bundle(s) written to {path}", bundles.len());
         }
     }
     if let Some(path) = &report_path {
@@ -759,7 +759,7 @@ fn explain(arguments: &[String], faults: Faults) {
             exit(exit_code::INVALID_INPUT);
         });
         if !quiet {
-            println!("HTML report written to {path}");
+            outln!("HTML report written to {path}");
         }
     }
     let mut summary = cli.summary("mmaes explain", spec, &design, &report, &stopwatch);
@@ -942,9 +942,12 @@ fn selftest(arguments: &[String], faults: &Faults) {
     let mut total_traces = 0u64;
     let mut worst = 0.0f64;
     if !quiet {
-        println!(
+        outln!(
             "{:<64} {:>9} {:>8} {:>12}  ok",
-            "case", "expected", "verdict", "-log10(p)"
+            "case",
+            "expected",
+            "verdict",
+            "-log10(p)"
         );
     }
     for case in &cases {
@@ -977,7 +980,7 @@ fn selftest(arguments: &[String], faults: &Faults) {
             .unwrap_or(0.0);
         worst = worst.max(minus_log10_p);
         if !quiet {
-            println!(
+            outln!(
                 "{:<64} {:>9} {:>8} {:>12.2}  {}",
                 case.name,
                 if case.expect_leak { "LEAK" } else { "clean" },
@@ -1007,7 +1010,7 @@ fn selftest(arguments: &[String], faults: &Faults) {
         ..RunSummary::default()
     };
     if !quiet && !interrupted && misses == 0 {
-        println!("selftest passed: every planted fault detected, the repaired design stays clean");
+        outln!("selftest passed: every planted fault detected, the repaired design stays clean");
     }
     observer.emit(&Event::RunSummary(summary.clone()));
     mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
@@ -1124,7 +1127,7 @@ fn chaos(arguments: &[String]) {
     let baseline_csv = baseline.to_csv();
     let found_leak = !baseline.passed();
     if !quiet {
-        println!(
+        outln!(
             "baseline (no faults): {} at {} traces",
             if found_leak { "LEAK" } else { "clean" },
             baseline.traces
@@ -1221,7 +1224,7 @@ fn chaos(arguments: &[String]) {
                     .collect::<Vec<_>>()
                     .join(", ")
             };
-            println!(
+            outln!(
                 "under faults, threads={threads}, tabulator={store}: {}, degraded: {degraded_list}",
                 match &result {
                     Ok(report) if report.to_csv() == baseline_csv =>
@@ -1260,7 +1263,7 @@ fn chaos(arguments: &[String]) {
         ],
         ..RunSummary::default()
     };
-    println!("{}", summary.to_json_line());
+    outln!("{}", summary.to_json_line());
     for failure in &failures {
         eprintln!("chaos: containment failure: {failure}");
     }
@@ -1268,7 +1271,7 @@ fn chaos(arguments: &[String]) {
         exit(exit_code::INVALID_INPUT);
     }
     if !quiet {
-        println!(
+        outln!(
             "chaos passed: faults contained, the finding and report survived at every thread count"
         );
     }
@@ -1331,7 +1334,7 @@ fn verify(arguments: &[String], faults: &Faults) {
         .with_observer(observer.clone())
         .verify_all();
     if !quiet {
-        println!("{report}");
+        outln!("{report}");
     }
     let summary = RunSummary {
         tool: "mmaes verify".to_owned(),

@@ -28,7 +28,10 @@
 //! machine-readable JSON summary line on stdout (`"type":"summary"`)
 //! recording the experiment id, schedule, traces, max `-log10(p)`,
 //! pass/fail verdict, and wall time — and that summary is always the
-//! *last* stdout line (see [`print_summary_last`]).
+//! *last* stdout line (see [`print_summary_last`]). Every stdout line
+//! goes through [`outln!`], so a closed stdout (`mmaes … | head`) ends
+//! the printing, not the process: the exit code still reports the
+//! result.
 //!
 //! Every binary installs a cooperative SIGINT/SIGTERM handler: the
 //! first signal lets the running campaign finish its batch, write a
@@ -47,6 +50,8 @@
 
 pub mod html;
 pub mod top;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mmaes_core::{ExperimentBudget, ExperimentOutcome};
 
@@ -293,10 +298,10 @@ impl RunOptions {
     pub fn finish(self, outcome: &ExperimentOutcome) -> ! {
         let summary = self.summarize(outcome);
         if !self.quiet {
-            println!("{outcome}");
-            println!();
-            println!("--- full evaluator output ---");
-            println!("{}", outcome.details);
+            outln!("{outcome}");
+            outln!();
+            outln!("--- full evaluator output ---");
+            outln!("{}", outcome.details);
         }
         if !summary.passed && !summary.interrupted {
             eprintln!("MISMATCH with the paper's claim — see the report above");
@@ -325,12 +330,12 @@ impl RunOptions {
             ("mismatches".to_owned(), mismatches.to_string()),
         ];
         if !self.quiet {
-            println!("{}", mmaes_core::outcome_table(outcomes));
+            outln!("{}", mmaes_core::outcome_table(outcomes));
             for outcome in outcomes {
-                println!("{outcome}\n");
+                outln!("{outcome}\n");
             }
             if mismatches == 0 && !summary.interrupted {
-                println!(
+                outln!(
                     "all {} experiments reproduced the paper's findings",
                     outcomes.len()
                 );
@@ -484,17 +489,50 @@ pub fn live_observer(options: &LiveObserverOptions<'_>) -> (Observer, Option<Met
 /// Prints the machine-readable summary as the *final* stdout line.
 ///
 /// Sinks are flushed first (a `--metrics` file pointed at a pipe must
-/// not race the verdict), buffered stdout is flushed, and the summary is
-/// written through a locked handle — so progress or prose output can
-/// never interleave with, or follow, the summary line.
+/// not race the verdict), and the summary is written through
+/// [`print_line`] — so progress or prose output can never interleave
+/// with, or follow, the summary line.
 pub fn print_summary_last(observer: &Observer, summary_line: &str) {
-    use std::io::Write as _;
     observer.flush();
-    let stdout = std::io::stdout();
-    let mut handle = stdout.lock();
-    let _ = handle.flush();
-    let _ = writeln!(handle, "{summary_line}");
-    let _ = handle.flush();
+    print_line(format_args!("{summary_line}"));
+}
+
+/// Set once a stdout write has failed: later lines are dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes one line to stdout through a locked, flushed handle — the
+/// one stdout writer of `mmaes` and the experiment binaries (use it
+/// through [`outln!`]).
+///
+/// Unlike `println!`, a failed write does not panic. The usual cause is
+/// `BrokenPipe`: the reader (`head`, a closed terminal) went away, so
+/// every later line is dropped silently and the command runs on to the
+/// exit code its result calls for. Any other write error is reported
+/// once on stderr and handled the same way.
+pub fn print_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut stdout = std::io::stdout().lock();
+    if let Err(error) = writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if error.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("stdout: {error}; further output dropped");
+        }
+    }
+}
+
+/// `println!` through [`print_line`]: a closed stdout stops the
+/// printing instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
 }
 
 /// Parses the common CLI flags into a budget (legacy helper; the

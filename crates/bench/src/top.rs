@@ -79,7 +79,8 @@ pub fn run(arguments: &[String]) -> ! {
             let _ = write!(stdout, "\x1b[2J\x1b[H{rendered}");
             let _ = stdout.flush();
         } else {
-            print!("{rendered}");
+            // The frame ends in a newline; `outln!` adds it back.
+            crate::outln!("{}", rendered.strip_suffix('\n').unwrap_or(&rendered));
         }
         let finished = status
             .get("finished")

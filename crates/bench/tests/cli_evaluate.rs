@@ -1,10 +1,10 @@
 //! End-to-end checks of the `mmaes` CLI: the CSV export carries the
 //! checkpoint trajectories, `--metrics` records the event stream,
 //! `--perf` and `--trace` expose the per-phase timings, an unwritable
-//! output file is invalid input, and stdout ends with the
-//! machine-readable summary line.
+//! output file is invalid input, stdout ends with the machine-readable
+//! summary line, and a closed stdout is not a crash.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use mmaes_telemetry::json::{parse, JsonValue};
 
@@ -212,5 +212,33 @@ fn an_unwritable_output_file_is_invalid_input_not_a_finding() {
         assert_eq!(output.status.code(), Some(2), "{flag}: {output:?}");
         let stderr = String::from_utf8(output.stderr).expect("utf8");
         assert!(stderr.contains("cannot write"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_process() {
+    // The read end of the pipe is closed before the child writes a byte,
+    // so its first stdout write fails with `BrokenPipe`, as under
+    // `mmaes stats … | head`. The exit code must still be the command's
+    // own: 0 for `stats`, 1 for the Eq. 6 finding.
+    for (args, code) in [
+        (&["stats", "kronecker:de-meyer-eq6"][..], 0),
+        (
+            &["evaluate", "kronecker:de-meyer-eq6", "--traces", "6400"][..],
+            1,
+        ),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mmaes"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mmaes runs");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("mmaes exits");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert_ne!(output.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(code), "{args:?}: {stderr}");
     }
 }

@@ -46,8 +46,8 @@ pub struct ExperimentBudget {
     /// without a snapshot start fresh, so a partially completed
     /// experiment suite resumes where it stopped).
     pub resume: bool,
-    /// Worker threads each statistical campaign shards its batches
-    /// across (0 and 1 both mean in-place single-threaded; see
+    /// Threads each statistical campaign stripes its tables across (0
+    /// and 1 both mean in place on the calling thread; see
     /// [`mmaes_leakage::EvaluationConfig::threads`]). Reports are
     /// byte-identical for every thread count.
     pub threads: usize,

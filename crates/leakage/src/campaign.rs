@@ -404,30 +404,7 @@ impl<'a> FixedVsRandom<'a> {
             prior_cell_evals,
             fresh_bits_per_trace,
         };
-        let run_result = engine.run(&context, &mut state);
-
-        // Final snapshot: covers interruption, early stop, normal
-        // completion (resuming a completed snapshot reproduces the
-        // final report without re-simulating) — and, when the run
-        // itself failed, an emergency flush of the contiguous folded
-        // prefix before the error propagates, so the traces already
-        // simulated are never lost.
-        if let Some(path) = &durability.snapshot_path {
-            if let Err(error) = engine.save_snapshot(&context, &mut state, path) {
-                if run_result.is_ok() {
-                    // A healthy run whose final state cannot be
-                    // persisted is a typed error: the caller asked for
-                    // durability and did not get it.
-                    return Err(error.into());
-                }
-                // The run error is the root cause and wins; record the
-                // failed emergency flush alongside it.
-                config
-                    .faults
-                    .mark("snapshot", &format!("emergency flush failed: {error}"));
-            }
-        }
-        run_result?;
+        engine.run(&context, &mut state)?;
 
         let traces = state.batches_done * LANES as u64;
         let statistic = config.statistic.as_statistic();

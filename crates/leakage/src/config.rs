@@ -122,13 +122,15 @@ pub struct EvaluationConfig {
     /// (p < 10⁻¹⁰ at the default threshold — far beyond any null
     /// fluctuation). Requires `checkpoints > 0` to have any effect.
     pub early_stop: bool,
-    /// Worker threads batches are sharded across (0 and 1 both mean
-    /// inline single-threaded). Because every batch's randomness is a
-    /// pure function of `(seed, batch)` and the coordinator folds
-    /// completed batches in strict batch order, the report, the
-    /// trajectories and the snapshots are **byte-identical** for every
-    /// thread count. Not part of the snapshot fingerprint: a campaign
-    /// interrupted at `--threads 4` resumes fine on 1 thread.
+    /// Threads the probing sets' tables are striped across, the calling
+    /// thread included (0 and 1 both mean the calling thread alone; at
+    /// most one per set).
+    /// Because every batch's randomness is a pure function of
+    /// `(seed, batch)` and every table absorbs its batches in strict
+    /// batch order on its owner thread, the report, the trajectories
+    /// and the snapshots are **byte-identical** for every thread count.
+    /// Not part of the snapshot fingerprint: a campaign interrupted at
+    /// `--threads 4` resumes fine on 1 thread.
     pub threads: usize,
     /// Which simulator engine each worker runs
     /// ([`EvaluatorMode::Compiled`] by default; the interpreter exists

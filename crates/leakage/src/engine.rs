@@ -1,32 +1,53 @@
-//! The staged campaign engine: one scheduler behind every run path.
+//! The staged campaign engine: one driver behind every run path.
 //!
 //! A campaign is a pipeline of stages —
 //!
 //! ```text
-//! batch source → simulate → pack lanes → fold → checkpoint/health/snapshot
+//! batch source → simulate → pack lanes → absorb → checkpoint/health/snapshot
 //! ```
 //!
-//! — with one fold path. [`Engine::run_batch`] simulates a batch and
-//! packs each probing set's 64 lane observations into its reused
-//! [`Lanes`] buffer; [`Engine::fold_batch`] absorbs them into the
-//! live tables with [`Table::absorb`], strictly in batch order, and
-//! hands the frontier advance to [`Engine::after_batch`] — the single
-//! checkpoint / health / snapshot / early-stop / interrupt decision
-//! point. Two drivers feed that fold: inline on the calling thread,
-//! or a supervised worker pool whose reorder buffer restores batch
-//! order. Because the fold sees the same batches in the same order
-//! either way, reports, trajectories and snapshots are byte-identical
-//! across thread counts, evaluators and tabulators — including which
-//! keys win the last slots of a capped hashed table.
+//! — over `T = threads` *stripes* of tables. Stripe `s` owns tables
+//! `s, s + T, s + 2T, …` (interleaved by table index) for the whole
+//! run. The batches go through in chunks, each in two phases with a
+//! barrier between them. In the pack phase, the stripes split the
+//! chunk's batches (batch `first + j` to stripe `j mod T`); each
+//! simulates its batches on its own simulator and packs every set's
+//! lanes into the batch's shared slot ([`Engine::run_batch`], under the
+//! supervised retry helper). In the absorb phase, each stripe absorbs
+//! every packed batch, in batch order, into its own tables with
+//! [`Table::absorb`]. A chunk holds `T` batches for large designs and
+//! up to `T ×` [`MAX_ROUNDS`] for small ones, so that stripes over few
+//! sets do not spend their time waking each other. A table's bytes
+//! depend only on the order of its own batches, and every table sees
+//! them in batch order on every thread count, so reports, trajectories
+//! and snapshots are byte-identical across thread counts, evaluators
+//! and tabulators — including which keys win the last slots of a
+//! capped hashed table.
+//!
+//! The barrier is also what keeps the frontier shared: a chunk never
+//! spans a checkpoint or `stop_after_batches`, and a batch whose
+//! retries run out is absorbed by no stripe, while the batches before
+//! it are absorbed by all. A fatal fault, a signal or the cap thus
+//! leaves every table at the same contiguous `batches_done`, so
+//! emergency and interrupt snapshots stay valid. At a checkpoint each
+//! stripe sweeps the statistic and the health summary over its own
+//! tables; the driver then emits `ProbeFlagged`, `CampaignCheckpoint`
+//! and `Health` in table order, writes the snapshot and decides early
+//! stop ([`Engine::after_batch`]).
+//!
+//! The calling thread runs stripe 0 itself; stripes `1..T` run on
+//! scoped threads that live for the whole run, so each table only ever
+//! grows on its owner thread. The calling thread posts each phase to
+//! them, runs its own share, then runs the heartbeat watchdog while it
+//! waits for the rest.
 //!
 //! Supervision (panic boundaries, bounded retries, rebuilt simulators,
 //! heartbeat watchdogs, degraded-sink snapshots) is integrated here
 //! once; `campaign.rs` is left with configuration, the builder API and
 //! report assembly.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use mmaes_netlist::{Netlist, SecretId, WireId};
@@ -53,8 +74,22 @@ pub(crate) const CHECKPOINT_TOP_PROBES: usize = 8;
 /// Refill granularity of [`BufferedRng`], in `u64` words.
 const RNG_BLOCK: usize = 256;
 
-/// Watchdog granularity of the pool coordinator: how often it wakes
-/// from `recv` to scan heartbeats and check for a fatal worker verdict.
+/// Packed sets a stripe aims to pack per phase when there is more than
+/// one stripe: each stripe then packs `CHUNK_SETS / sets` batches of a
+/// chunk (at least one, at most [`MAX_ROUNDS`]), so that cheap batches
+/// over few sets do not each pay a barrier round trip (on the S-box at
+/// two threads, a barrier per batch nearly doubled the wall time). A
+/// packed set takes at most 1 KiB, which bounds the chunk's buffers
+/// at 4 MiB per stripe for small designs; large designs such as the AES
+/// core pack one batch per stripe and phase.
+const CHUNK_SETS: usize = 4096;
+
+/// The most batches a stripe packs per chunk: bounds how long an
+/// interrupt waits for the next frontier advance.
+const MAX_ROUNDS: usize = 16;
+
+/// Watchdog granularity of the driver: how often it wakes while the
+/// stripe threads run a phase, to scan their heartbeats.
 const WATCHDOG_TICK_MS: u64 = 100;
 
 /// Derives the RNG for one batch from the campaign seed and the batch
@@ -121,30 +156,20 @@ pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
     }
 }
 
-/// One completed batch: its packed observations, the lane → population
-/// mask, and the simulator work it cost.
-pub(crate) struct BatchOutcome {
-    batch: u64,
-    lane_groups: u64,
-    stats: SimStats,
-    observations: Vec<Lanes>,
-}
-
-/// The coordinator-side campaign state. Only the fold stage mutates it,
-/// and only at batch-frontier advances — which is the whole determinism
-/// argument: any producer (the inline driver or the worker pool) that
-/// advances the frontier through the same states yields the same bytes.
-/// A side effect worth naming: `batches_done` is always a contiguous
-/// frontier, so every snapshot records exactly the batches
+/// The campaign state in table order. The driver deals its tables and
+/// trajectories out to the stripes for the run and collects them back
+/// afterwards; everything else changes only at batch-frontier advances
+/// on the driver — which is the whole determinism argument: any stripe
+/// count that advances the frontier through the same states yields the
+/// same bytes. A side effect worth naming: `batches_done` is always a
+/// contiguous frontier, so every snapshot records exactly the batches
 /// `0..batches_done` — resumable on any thread count.
 pub(crate) struct CampaignState {
     pub(crate) tables: Vec<Table>,
     pub(crate) trajectories: Vec<Vec<(u64, f64)>>,
     pub(crate) flagged: Vec<bool>,
     pub(crate) batches_done: u64,
-    /// Work from *folded* batches only. Batches a stopping worker pool
-    /// simulated but never folded are excluded, keeping `cell_evals`
-    /// independent of the thread count.
+    /// Simulator work of the absorbed batches.
     pub(crate) folded: SimStats,
     pub(crate) early_stopped: bool,
     pub(crate) interrupted: bool,
@@ -177,7 +202,7 @@ impl CampaignState {
     }
 }
 
-/// Read-only context the fold stage needs besides the state.
+/// Read-only context the driver needs besides the state.
 pub(crate) struct FoldContext<'a> {
     pub(crate) probe_sets: &'a [ProbeSet],
     pub(crate) watch: &'a Stopwatch,
@@ -191,35 +216,143 @@ pub(crate) struct FoldContext<'a> {
     pub(crate) fresh_bits_per_trace: u64,
 }
 
-/// Runs one batch under supervision, retrying in place — the one retry
-/// helper both drivers use. A faulted attempt (contained panic —
-/// injected or real) rebuilds the simulator and retries after bounded
-/// backoff, up to [`supervisor::MAX_ATTEMPTS`] total attempts. Every
-/// attempt rewrites `observations` whole, and the outcome is a pure
-/// function of `(seed, batch)`, so a successful retry is
-/// indistinguishable from a fault-free first attempt and a torn
+impl FoldContext<'_> {
+    /// Whether the frontier reaching `batches_done` is an interim
+    /// checkpoint. The last batch is not: the final statistics cover it.
+    fn is_checkpoint(&self, batches_done: u64) -> bool {
+        self.checkpoint_every > 0
+            && batches_done.is_multiple_of(self.checkpoint_every)
+            && batches_done < self.batches
+    }
+
+    /// The end of the chunk of at most `chunk` batches from `first`: it
+    /// stops at the next checkpoint, at `cap` and at the last batch, so
+    /// that every frontier the driver acts on is one it would reach
+    /// batch by batch.
+    fn chunk_end(&self, first: u64, chunk: u64, cap: Option<u64>) -> u64 {
+        let mut end = (first + chunk).min(self.batches);
+        if self.checkpoint_every > 0 {
+            end = end.min((first + 1).next_multiple_of(self.checkpoint_every));
+        }
+        match cap {
+            Some(cap) if cap > first => end.min(cap),
+            _ => end,
+        }
+    }
+}
+
+/// One phase of a chunk of batches. The driver posts it to every
+/// stripe and moves on once all of them have run it.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Simulate and pack the stripe's share of the `count` batches from
+    /// `first` (batch `first + j` goes to stripe `j mod T`), stopping
+    /// at a batch whose retries run out.
+    Pack { first: u64, count: usize },
+    /// Absorb the chunk's first `count` batches into the stripe's
+    /// tables; at a checkpoint, then
+    /// sweep the statistic with the frontier at `sweep` traces. With
+    /// `memoize` (after the last batch), then memoize each table's
+    /// sorted columns for the final sweep and snapshot, so that the
+    /// sorting allocates in the arena of the thread that grew the table
+    /// (on the AES core, sorting on the calling thread instead adds
+    /// ~60 MiB of peak RSS).
+    Absorb {
+        count: usize,
+        sweep: Option<u64>,
+        memoize: bool,
+    },
+}
+
+/// One stripe: the tables `index, index + T, …` with their probing
+/// sets and trajectories, plus what the last phase left for the driver
+/// to read at the barrier. The thread running the stripe keeps its
+/// simulator to itself.
+struct Stripe<'s> {
+    index: usize,
+    /// `T`, the stripe count: the stripe's `k`-th table is table
+    /// `index + k × stride`.
+    stride: usize,
+    sets: Vec<&'s ProbeSet>,
+    tables: Vec<Table>,
+    trajectories: Vec<Vec<(u64, f64)>>,
+    /// The batch whose retries ran out in the last `Pack`, with its
+    /// fault: the stripe packed none of its batches after it.
+    failed: Option<(u64, CampaignError)>,
+    /// The last checkpoint sweep, per table: the running `-log10(p)`
+    /// and, when the observer is on, the health summary.
+    swept: Vec<f64>,
+    healths: Vec<ProbeHealth>,
+}
+
+/// Deals `items` out to `stripes` stripes, item `i` to stripe
+/// `i % stripes`.
+fn deal<T>(items: Vec<T>, stripes: usize) -> Vec<Vec<T>> {
+    let mut dealt: Vec<Vec<T>> = (0..stripes)
+        .map(|stripe| Vec::with_capacity((items.len() + stripes - 1 - stripe) / stripes))
+        .collect();
+    for (index, item) in items.into_iter().enumerate() {
+        dealt[index % stripes].push(item);
+    }
+    dealt
+}
+
+/// Walks items dealt as by [`deal`] in table order: item `i` from
+/// stripe `i % stripes`. Dealing round robin makes the first stripe to
+/// run dry the one due the item past the last.
+fn in_table_order<I: Iterator>(mut dealt: Vec<I>) -> impl Iterator<Item = I::Item> {
+    let stripes = dealt.len();
+    (0..).map_while(move |index| dealt[index % stripes].next())
+}
+
+/// The inverse of [`deal`]: the stripes' items back in table order.
+fn interleave<T>(dealt: Vec<Vec<T>>) -> Vec<T> {
+    in_table_order(dealt.into_iter().map(Vec::into_iter).collect()).collect()
+}
+
+/// One batch of a chunk: every set's packed lanes, plus the batch's
+/// lane → population mask and simulator work. The stripe that packs
+/// the batch writes it; after the barrier every stripe reads it.
+struct Slot {
+    lanes: Vec<Lanes>,
+    packed: (u64, SimStats),
+}
+
+/// Moves the stripes' tables and trajectories back into `state`, in
+/// table order.
+fn collect(state: &mut CampaignState, stripes: Vec<Mutex<Stripe<'_>>>) {
+    let (tables, trajectories) = stripes
+        .into_iter()
+        .map(|stripe| {
+            let stripe = stripe.into_inner().unwrap_or_else(PoisonError::into_inner);
+            (stripe.tables, stripe.trajectories)
+        })
+        .unzip();
+    state.tables = interleave(tables);
+    state.trajectories = interleave(trajectories);
+}
+
+/// Runs one batch under supervision, retrying in place. A faulted
+/// attempt (contained panic — injected or real) rebuilds the simulator
+/// and retries after bounded backoff, up to [`supervisor::MAX_ATTEMPTS`]
+/// total attempts. Every attempt rewrites `observations` whole, and the
+/// outcome is a pure function of `(seed, batch)`, so a successful retry
+/// is indistinguishable from a fault-free first attempt and a torn
 /// attempt can never half-count a batch.
 fn run_batch_supervised<'a>(
     engine: &Engine<'a>,
     sim: &mut Simulator<'a>,
     batch: u64,
     perf: &PerfRecorder,
-    mut observations: Vec<Lanes>,
-) -> Result<BatchOutcome, CampaignError> {
+    observations: &mut [Lanes],
+) -> Result<(u64, SimStats), CampaignError> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         match supervisor::supervised(batch, &engine.config.faults, || {
-            engine.run_batch(sim, batch, perf, &mut observations)
+            engine.run_batch(sim, batch, perf, observations)
         }) {
-            Ok((lane_groups, stats)) => {
-                return Ok(BatchOutcome {
-                    batch,
-                    lane_groups,
-                    stats,
-                    observations,
-                })
-            }
+            Ok(packed) => return Ok(packed),
             Err(fault) => {
                 if attempts >= supervisor::MAX_ATTEMPTS {
                     return Err(CampaignError::Worker {
@@ -230,7 +363,7 @@ fn run_batch_supervised<'a>(
                 }
                 // The panicked attempt may have torn the simulator
                 // mid-step; rebuild it rather than trust its state.
-                *sim = Simulator::with_evaluator(engine.netlist, engine.config.evaluator);
+                *sim = engine.simulator();
                 std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
             }
         }
@@ -238,10 +371,10 @@ fn run_batch_supervised<'a>(
 }
 
 /// The staged scheduler: everything needed to simulate, tabulate and
-/// fold batches, shared read-only across worker threads. Splitting this
-/// out of the builder is what lets `std::thread::scope` workers borrow
-/// the input-driving tables while the coordinator keeps `&mut` access
-/// to the campaign state.
+/// absorb batches, shared read-only across the stripe threads.
+/// Splitting this out of the builder is what lets `std::thread::scope`
+/// stripes borrow the input-driving tables while the driver keeps
+/// `&mut` access to the campaign state.
 pub(crate) struct Engine<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) config: &'a EvaluationConfig,
@@ -255,30 +388,308 @@ pub(crate) struct Engine<'a> {
     pub(crate) observer: &'a Observer,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
     /// Runs the sampling pipeline from `state.batches_done` to
-    /// `context.batches` (or an early stop / interrupt / fatal fault):
-    /// inline on the calling thread when `threads == 1`, on a
-    /// supervised worker pool otherwise. Both drivers run
-    /// [`Engine::run_batch`] under the same retry helper and fold
-    /// through [`Engine::fold_batch`] in batch order, so their outputs
-    /// are byte-identical.
+    /// `context.batches` (or an early stop / interrupt / fatal fault),
+    /// then writes the final snapshot when one is configured. The final
+    /// save covers interruption, early stop and normal completion
+    /// (resuming a completed snapshot reproduces the final report
+    /// without re-simulating) — and, when the run itself failed, it is
+    /// an emergency flush of the contiguous prefix before the error
+    /// propagates, so the traces already simulated are never lost.
     pub(crate) fn run(
         &self,
         context: &FoldContext<'_>,
         state: &mut CampaignState,
     ) -> Result<(), CampaignError> {
+        let threads = self.config.threads.clamp(1, self.probe_sets.len().max(1));
+        let stripes = self.deal(state, threads);
+        let mut result = self.run_stripes(context, state, &stripes);
+        if let Some(path) = &self.config.durability.snapshot_path {
+            if let Err(error) = self.save_snapshot(context, state, &stripes, path) {
+                if result.is_ok() {
+                    // A healthy run whose final state cannot be
+                    // persisted is a typed error: the caller asked for
+                    // durability and did not get it.
+                    result = Err(error.into());
+                } else {
+                    // The run error is the root cause and wins; record
+                    // the failed emergency flush alongside it.
+                    self.config
+                        .faults
+                        .mark("snapshot", &format!("emergency flush failed: {error}"));
+                }
+            }
+        }
+        collect(state, stripes);
+        result
+    }
+
+    /// Moves the tables and trajectories out of `state` into `threads`
+    /// stripes, table `i` to stripe `i % threads`.
+    fn deal(&self, state: &mut CampaignState, threads: usize) -> Vec<Mutex<Stripe<'a>>> {
+        let sets = deal(self.probe_sets.iter().collect(), threads);
+        let tables = deal(std::mem::take(&mut state.tables), threads);
+        let trajectories = deal(std::mem::take(&mut state.trajectories), threads);
+        sets.into_iter()
+            .zip(tables)
+            .zip(trajectories)
+            .enumerate()
+            .map(|(index, ((sets, tables), trajectories))| {
+                Mutex::new(Stripe {
+                    index,
+                    stride: threads,
+                    sets,
+                    tables,
+                    trajectories,
+                    failed: None,
+                    swept: Vec::new(),
+                    healths: Vec::new(),
+                })
+            })
+            .collect()
+    }
+
+    /// Runs the batches on the stripes: stripe 0 on the calling thread,
+    /// every other stripe on a persistent scoped thread of its own.
+    fn run_stripes(
+        &self,
+        context: &FoldContext<'_>,
+        state: &mut CampaignState,
+        stripes: &[Mutex<Stripe<'a>>],
+    ) -> Result<(), CampaignError> {
         if state.batches_done >= context.batches {
             return Ok(());
         }
-        match self.config.threads.max(1) {
-            1 => self.run_inline(context, state),
-            threads => self.run_pool(context, state, threads),
+        let heartbeats = supervisor::Heartbeats::new(stripes.len());
+        let rounds = if stripes.len() == 1 {
+            // No barrier to amortize.
+            1
+        } else {
+            (CHUNK_SETS / self.probe_sets.len().max(1)).clamp(1, MAX_ROUNDS)
+        };
+        // Allocated here, like the tables: allocating the buffers on the
+        // stripe threads measured +21 MiB of peak RSS on the AES core.
+        let slots: Vec<RwLock<Slot>> = (0..stripes.len() * rounds)
+            .map(|_| {
+                RwLock::new(Slot {
+                    lanes: self
+                        .probe_sets
+                        .iter()
+                        .map(|set| Lanes::for_set(set, self.config.model))
+                        .collect(),
+                    packed: Default::default(),
+                })
+            })
+            .collect();
+        let slots = &slots[..];
+        let (own, helpers) = stripes.split_first().expect("at least one stripe");
+        let crew = Crew::default();
+        let faults = &self.config.faults;
+        let stall_timeout_ms = faults.stall_timeout_ms();
+        let mut flagged_stall = vec![false; stripes.len()];
+        std::thread::scope(|scope| {
+            for stripe in helpers {
+                let (crew, heartbeats) = (&crew, &heartbeats);
+                scope.spawn(move || {
+                    let mut sim = self.simulator();
+                    crew.serve(|phase| {
+                        let stripe = &mut lock(stripe);
+                        self.execute(context, stripe, &mut sim, slots, phase, heartbeats);
+                    });
+                });
+            }
+            // Dismissed on every exit, an unwinding one included, so
+            // no stripe thread is left waiting for the next phase.
+            let _dismiss = Dismiss(&crew);
+            let mut sim = self.simulator();
+            self.drive(context, state, stripes, slots, |phase| {
+                crew.dispatch(
+                    phase,
+                    helpers.len(),
+                    || {
+                        let stripe = &mut lock(own);
+                        self.execute(context, stripe, &mut sim, slots, phase, &heartbeats);
+                    },
+                    || {
+                        // Advisory stall flags, once per stripe.
+                        for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
+                            if !flagged_stall[worker] {
+                                flagged_stall[worker] = true;
+                                faults.mark("worker", &format!("worker {worker}: {fault}"));
+                            }
+                        }
+                    },
+                );
+            })
+        })
+    }
+
+    /// The one driver loop, whichever threads run the stripes:
+    /// `dispatch` runs a phase on every stripe and returns once all of
+    /// them have run it. Each round packs a chunk of up to one batch
+    /// per slot and then absorbs the packed prefix of the chunk.
+    ///
+    /// Fault containment (see [`crate::supervisor`]): a panicked
+    /// attempt is retried in place on the stripe that packs the batch,
+    /// so every table absorbs each batch exactly once and reports stay
+    /// byte-identical under injected faults. A batch that exhausts
+    /// [`supervisor::MAX_ATTEMPTS`] is fatal: no table absorbs it,
+    /// every table absorbs the batches before it, and the campaign
+    /// returns [`CampaignError::Worker`] (the earliest failed batch's)
+    /// with the frontier at that batch.
+    fn drive(
+        &self,
+        context: &FoldContext<'_>,
+        state: &mut CampaignState,
+        stripes: &[Mutex<Stripe<'a>>],
+        slots: &[RwLock<Slot>],
+        mut dispatch: impl FnMut(Phase),
+    ) -> Result<(), CampaignError> {
+        let cap = self.config.durability.stop_after_batches;
+        while state.batches_done < context.batches {
+            let first = state.batches_done;
+            let count = context.chunk_end(first, slots.len() as u64, cap) - first;
+            dispatch(Phase::Pack {
+                first,
+                count: count as usize,
+            });
+            // The barrier: every batch of the chunk is packed, up to
+            // the earliest one whose retries ran out.
+            let failure = stripes
+                .iter()
+                .filter_map(|stripe| lock(stripe).failed.take())
+                .min_by_key(|&(batch, _)| batch);
+            let next = failure.as_ref().map_or(first + count, |&(batch, _)| batch);
+            if next > first {
+                let packed = (next - first) as usize;
+                dispatch(Phase::Absorb {
+                    count: packed,
+                    sweep: context.is_checkpoint(next).then_some(next * LANES as u64),
+                    memoize: next == context.batches,
+                });
+                for slot in &slots[..packed] {
+                    let (_, work) = read(slot).packed;
+                    state.folded.cycles += work.cycles;
+                    state.folded.cell_evals += work.cell_evals;
+                }
+                state.batches_done = next;
+            }
+            if let Some((_, error)) = failure {
+                return Err(error);
+            }
+            if self.after_batch(context, state, stripes) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs one phase on one stripe, with the simulator of the thread
+    /// that runs it.
+    fn execute(
+        &self,
+        context: &FoldContext<'_>,
+        stripe: &mut Stripe<'_>,
+        sim: &mut Simulator<'a>,
+        slots: &[RwLock<Slot>],
+        phase: Phase,
+        heartbeats: &supervisor::Heartbeats,
+    ) {
+        let perf = context.perf;
+        match phase {
+            Phase::Pack { first, count } => {
+                stripe.failed = None;
+                for (batch, slot) in (first..)
+                    .zip(&slots[..count])
+                    .skip(stripe.index)
+                    .step_by(stripe.stride)
+                {
+                    let slot = &mut *slot.write().unwrap_or_else(PoisonError::into_inner);
+                    heartbeats.start(stripe.index, batch);
+                    match run_batch_supervised(self, sim, batch, perf, &mut slot.lanes) {
+                        Ok(packed) => slot.packed = packed,
+                        Err(error) => {
+                            stripe.failed = Some((batch, error));
+                            break;
+                        }
+                    }
+                }
+                heartbeats.idle(stripe.index);
+            }
+            Phase::Absorb {
+                count,
+                sweep,
+                memoize,
+            } => {
+                {
+                    let _span = perf.span("merge");
+                    let cap = self.config.max_table_keys;
+                    let slots: Vec<_> = slots[..count].iter().map(read).collect();
+                    for (k, table) in stripe.tables.iter_mut().enumerate() {
+                        let set = stripe.index + k * stripe.stride;
+                        for slot in &slots {
+                            table.absorb(&slot.lanes[set], slot.packed.0, cap);
+                        }
+                    }
+                }
+                if let Some(traces) = sweep {
+                    self.sweep(stripe, traces, perf);
+                }
+                if memoize {
+                    let _span = perf.span("g_test");
+                    for table in &mut stripe.tables {
+                        table.sorted_columns();
+                    }
+                }
+            }
         }
     }
 
-    /// Simulates one batch on `sim` and packs every probing set's lane
-    /// observations into `observations`, returning the batch's lane →
+    /// The checkpoint sweep over one stripe's tables: the running
+    /// statistic (appended to each trajectory) and, when the observer
+    /// is on, each set's health summary, left in `stripe.swept` and
+    /// `stripe.healths` (empty until then: the driver takes both after
+    /// every checkpoint).
+    fn sweep(&self, stripe: &mut Stripe<'_>, traces: u64, perf: &PerfRecorder) {
+        let _span = perf.span("g_test");
+        let config = self.config;
+        let statistic = config.statistic.as_statistic();
+        let health_enabled = self.observer.enabled();
+        // Both vectors grow by push: reserving them up front measured
+        // +23 MiB of peak RSS on the AES core.
+        for ((set, table), trajectory) in stripe
+            .sets
+            .iter()
+            .zip(&mut stripe.tables)
+            .zip(&mut stripe.trajectories)
+        {
+            let overflow = table.overflow();
+            let minus_log10_p = statistic
+                .evaluate(table.sorted_columns(), overflow)
+                .map_or(0.0, |test| test.minus_log10_p);
+            trajectory.push((traces, minus_log10_p));
+            stripe.swept.push(minus_log10_p);
+            if health_enabled {
+                stripe.healths.push(health::probe_health(
+                    &set.label,
+                    &pooling_summary(&table.g_columns()),
+                    minus_log10_p,
+                    trajectory,
+                    traces,
+                    config.threshold,
+                ));
+            }
+        }
+    }
+
+    /// A fresh simulator for the campaign's netlist and evaluator.
+    fn simulator(&self) -> Simulator<'a> {
+        Simulator::with_evaluator(self.netlist, self.config.evaluator)
+    }
+
+    /// Simulates one batch on `sim` and packs the lane observations of
+    /// every probing set into `observations`, returning the batch's lane →
     /// population mask and simulator work. A pure function of
     /// `(seed, batch)` — which simulator runs it, on which thread, in
     /// which order, cannot change the outcome. Nothing is committed to
@@ -294,7 +705,7 @@ impl Engine<'_> {
         let config = self.config;
         // Each batch derives its own RNG from (seed, batch), so the
         // trace stream is position-addressable: resume is exact and
-        // sharding across threads cannot perturb it. Block-buffering
+        // whichever stripe packs a batch sees the same traces. Block-buffering
         // amortizes generator stepping without changing the stream.
         let mut rng = BufferedRng::new(batch_rng(config.seed, batch));
         // Lane → population: bit set = random population.
@@ -388,80 +799,43 @@ impl Engine<'_> {
         }
     }
 
-    /// Folds one completed batch into the campaign state: its lanes
-    /// into the contingency tables, then [`Engine::after_batch`].
-    /// Batches MUST be folded in strictly increasing batch order — that
-    /// invariant (not any property of the producers) is what makes
-    /// multi-threaded campaigns byte-identical to single-threaded ones,
-    /// overflowing hashed tables included. Returns `true` when the
-    /// campaign should stop before `context.batches` (early stop or
-    /// interrupt).
-    fn fold_batch(
+    /// Everything a batch-frontier advance triggers besides absorption:
+    /// the interim checkpoint (events from the stripes' sweep, snapshot,
+    /// early-stop decision) and the cooperative-interrupt check, purely
+    /// as a function of `state.batches_done`. Infallible: a checkpoint
+    /// snapshot that exhausts its retry budget degrades (marked on the
+    /// fault handle, later interim saves skipped) rather than aborting a
+    /// healthy campaign. Returns `true` when the campaign should stop
+    /// before `context.batches`.
+    fn after_batch(
         &self,
         context: &FoldContext<'_>,
         state: &mut CampaignState,
-        outcome: &BatchOutcome,
+        stripes: &[Mutex<Stripe<'_>>],
     ) -> bool {
-        debug_assert_eq!(outcome.batch, state.batches_done, "fold order violated");
-        {
-            let _span = context.perf.span("merge");
-            for (table, lanes) in state.tables.iter_mut().zip(&outcome.observations) {
-                table.absorb(lanes, outcome.lane_groups, self.config.max_table_keys);
-            }
-        }
-        state.folded.cycles += outcome.stats.cycles;
-        state.folded.cell_evals += outcome.stats.cell_evals;
-        state.batches_done += 1;
-        self.after_batch(context, state)
-    }
-
-    /// Everything a batch-frontier advance triggers besides absorption:
-    /// the interim checkpoint (running statistic sweep, events,
-    /// snapshot, early-stop decision) and the cooperative-interrupt
-    /// check, purely as a function of `state.batches_done`. Infallible:
-    /// a checkpoint snapshot that exhausts its retry budget degrades
-    /// (recorded in the registry, later interim saves skipped) rather
-    /// than aborting a healthy campaign. Returns `true` when the
-    /// campaign should stop before `context.batches`.
-    fn after_batch(&self, context: &FoldContext<'_>, state: &mut CampaignState) -> bool {
         let config = self.config;
         let perf = context.perf;
 
-        // Interim checkpoint: running statistic per probing set,
-        // events, and the early-stop decision. Skipped on the last
-        // batch (the final statistics cover it).
-        if context.checkpoint_every > 0
-            && state.batches_done.is_multiple_of(context.checkpoint_every)
-            && state.batches_done < context.batches
-        {
+        // Interim checkpoint: the stripes' running statistic per
+        // probing set in table order, events, and the early-stop
+        // decision.
+        if context.is_checkpoint(state.batches_done) {
             let _span = perf.span("g_test");
-            let statistic = config.statistic.as_statistic();
             let traces_so_far = state.batches_done * LANES as u64;
-            let health_enabled = self.observer.enabled();
-            let mut probe_healths: Vec<ProbeHealth> = Vec::with_capacity(if health_enabled {
-                state.tables.len()
-            } else {
-                0
-            });
-            let mut running: Vec<(usize, f64)> = Vec::with_capacity(context.probe_sets.len());
-            for (index, table) in state.tables.iter_mut().enumerate() {
-                let overflow = table.overflow();
-                let minus_log10_p = statistic
-                    .evaluate(table.sorted_columns(), overflow)
-                    .map(|test| test.minus_log10_p)
-                    .unwrap_or(0.0);
-                state.trajectories[index].push((traces_so_far, minus_log10_p));
-                running.push((index, minus_log10_p));
-                if health_enabled {
-                    probe_healths.push(health::probe_health(
-                        &context.probe_sets[index].label,
-                        &pooling_summary(&table.g_columns()),
-                        minus_log10_p,
-                        &state.trajectories[index],
-                        traces_so_far,
-                        config.threshold,
-                    ));
-                }
+            let (swept, healths): (Vec<_>, Vec<_>) = stripes
+                .iter()
+                .map(|stripe| {
+                    let mut stripe = lock(stripe);
+                    (
+                        std::mem::take(&mut stripe.swept),
+                        std::mem::take(&mut stripe.healths),
+                    )
+                })
+                .unzip();
+            let probe_healths = interleave(healths);
+            let mut running: Vec<(usize, f64)> =
+                interleave(swept).into_iter().enumerate().collect();
+            for &(index, minus_log10_p) in &running {
                 if minus_log10_p > config.threshold && !state.flagged[index] {
                     state.flagged[index] = true;
                     if self.observer.enabled() {
@@ -527,7 +901,7 @@ impl Engine<'_> {
             }
             if let Some(path) = &config.durability.snapshot_path {
                 if !state.snapshot_degraded {
-                    if let Err(error) = self.save_snapshot(context, state, path) {
+                    if let Err(error) = self.save_snapshot(context, state, stripes, path) {
                         // Interim saves are an amenity; losing them must
                         // not kill a healthy campaign. Degrade: skip
                         // further interim saves (the final save is still
@@ -547,9 +921,9 @@ impl Engine<'_> {
         }
 
         // Cooperative interruption: a signal flag (set from a
-        // SIGINT/SIGTERM handler) or a deterministic batch cap. The
-        // folded prefix is contiguous, so the state is consistent; the
-        // final snapshot persists it.
+        // SIGINT/SIGTERM handler) or a deterministic batch cap. Every
+        // table holds the same contiguous prefix, so the state is
+        // consistent; the final snapshot persists it.
         let signalled = config
             .durability
             .interrupt
@@ -566,16 +940,18 @@ impl Engine<'_> {
         false
     }
 
-    /// Renders the campaign state straight from the live tables — each
-    /// table's memoized sorted columns (shared with the checkpoint's
-    /// statistic sweep), flag and trajectory — and writes it atomically
-    /// within the fault handle's retry budget. The `snapshot` span
-    /// nests in whatever span the caller holds: `g_test` for the
-    /// interim save, none for the final one.
-    pub(crate) fn save_snapshot(
+    /// Renders the campaign state straight from the stripes' live
+    /// tables, in table order — each table's memoized sorted columns
+    /// (shared with the checkpoint's statistic sweep), flag and
+    /// trajectory — and writes it atomically within the fault handle's
+    /// retry budget. The `snapshot` span nests in whatever span the
+    /// caller holds: `g_test` for the interim save, none for the final
+    /// one.
+    fn save_snapshot(
         &self,
         context: &FoldContext<'_>,
-        state: &mut CampaignState,
+        state: &CampaignState,
+        stripes: &[Mutex<Stripe<'_>>],
         path: &std::path::Path,
     ) -> Result<(), SnapshotError> {
         let _span = context.perf.span("snapshot");
@@ -586,12 +962,17 @@ impl Engine<'_> {
             total_batches: context.batches,
             cell_evals: context.prior_cell_evals + state.folded.cell_evals,
         };
-        let tables: Vec<TableView<'_>> = state
-            .tables
+        let mut guards: Vec<MutexGuard<'_, Stripe<'_>>> = stripes.iter().map(lock).collect();
+        let dealt = guards
             .iter_mut()
+            .map(|stripe| {
+                let stripe = &mut **stripe;
+                stripe.tables.iter_mut().zip(&stripe.trajectories)
+            })
+            .collect();
+        let tables: Vec<TableView<'_>> = in_table_order(dealt)
             .zip(&state.flagged)
-            .zip(&state.trajectories)
-            .map(|((table, &flagged), trajectory)| TableView {
+            .map(|((table, trajectory), &flagged)| TableView {
                 samples: table.samples(),
                 overflow: table.overflow(),
                 flagged,
@@ -605,194 +986,127 @@ impl Engine<'_> {
             &self.config.faults,
         )
     }
+}
 
-    /// A fresh observation buffer, one [`Lanes`] per probing set:
-    /// allocated once per driver (or per in-flight batch in the pool)
-    /// and rewritten whole by every batch attempt.
-    fn observations(&self) -> Vec<Lanes> {
-        self.probe_sets
-            .iter()
-            .map(|set| Lanes::for_set(set, self.config.model))
-            .collect()
+/// The per-phase barrier between the driver and the persistent helper
+/// threads (stripes `1..T`): the driver posts a phase, runs stripe 0's
+/// share itself, and returns once every helper has run the phase once.
+#[derive(Default)]
+struct Crew {
+    board: Mutex<Board>,
+    posted: Condvar,
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct Board {
+    /// The posted phase; `None` once the crew is dismissed.
+    phase: Option<Phase>,
+    /// Bumped on every post, so a stripe runs each phase once.
+    round: u64,
+    /// Stripes still running the posted phase.
+    running: usize,
+    /// A stripe thread panicked outside the supervised batch.
+    lost: bool,
+}
+
+impl Crew {
+    /// The stripe thread's loop: runs every posted phase until
+    /// dismissed.
+    fn serve(&self, mut run: impl FnMut(Phase)) {
+        let mut seen = 0;
+        loop {
+            let phase = {
+                let mut board = lock(&self.board);
+                while board.round == seen {
+                    board = self
+                        .posted
+                        .wait(board)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                seen = board.round;
+                match board.phase {
+                    Some(phase) => phase,
+                    None => return,
+                }
+            };
+            let report = Report(self);
+            run(phase);
+            drop(report);
+        }
     }
 
-    /// The inline driver: one simulator and one observation buffer on
-    /// the calling thread, each batch folded as soon as it completes.
-    fn run_inline(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-    ) -> Result<(), CampaignError> {
-        let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
-        let mut observations = self.observations();
-        for batch in state.batches_done..context.batches {
-            let outcome = run_batch_supervised(self, &mut sim, batch, context.perf, observations)?;
-            let stop = self.fold_batch(context, state, &outcome);
-            observations = outcome.observations;
-            if stop {
-                break;
+    /// Posts `phase` to the `helpers` stripe threads, runs the calling
+    /// thread's own share with `own`, then waits for the helpers to
+    /// finish, calling `tick` every [`WATCHDOG_TICK_MS`] meanwhile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stripe thread panicked — outside the supervised
+    /// batch, so a bug rather than a contained fault.
+    fn dispatch(&self, phase: Phase, helpers: usize, own: impl FnOnce(), mut tick: impl FnMut()) {
+        {
+            let mut board = lock(&self.board);
+            board.phase = Some(phase);
+            board.round += 1;
+            board.running = helpers;
+            self.posted.notify_all();
+        }
+        own();
+        let mut board = lock(&self.board);
+        while board.running > 0 && !board.lost {
+            let (next, wait) = self
+                .finished
+                .wait_timeout(board, Duration::from_millis(WATCHDOG_TICK_MS))
+                .unwrap_or_else(PoisonError::into_inner);
+            board = next;
+            if wait.timed_out() {
+                tick();
             }
         }
-        Ok(())
-    }
-
-    /// The pool driver: workers claim batch indices from a shared
-    /// atomic counter, each with a private [`Simulator`], and run them
-    /// under [`run_batch_supervised`]; the coordinator (this thread)
-    /// reorders completed batches through a `BTreeMap` buffer and folds
-    /// them in strict batch order, so the result is byte-identical to
-    /// the inline driver. Folded observation buffers go back to the
-    /// workers for reuse.
-    ///
-    /// Fault containment (see [`crate::supervisor`]): a panicked
-    /// attempt delivers no outcome and is retried in place, so the fold
-    /// sees each batch exactly once and reports stay byte-identical
-    /// under injected faults. A batch that exhausts
-    /// [`supervisor::MAX_ATTEMPTS`] is fatal: the pool stops and the
-    /// campaign returns [`CampaignError::Worker`] with the state at the
-    /// last folded batch — a contiguous prefix, so the emergency
-    /// snapshot stays valid. The coordinator doubles as a heartbeat
-    /// watchdog, marking workers whose in-flight batch is overdue as
-    /// degraded on the campaign's fault handle (advisory only —
-    /// wall-clock diagnostics never reach the report).
-    ///
-    /// Each worker records perf into its own recorder, merged into the
-    /// campaign recorder at join (per-phase totals then sum CPU time
-    /// across workers, which can exceed wall time).
-    fn run_pool(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-        threads: usize,
-    ) -> Result<(), CampaignError> {
-        let next_batch = AtomicU64::new(state.batches_done);
-        let stop = AtomicBool::new(false);
-        let heartbeats = supervisor::Heartbeats::new(threads);
-        let faults = &self.config.faults;
-        let stall_timeout_ms = faults.stall_timeout_ms();
-        // First fatal worker verdict wins; later ones are dropped.
-        let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
-        let spare: Mutex<Vec<Vec<Lanes>>> = Mutex::new(Vec::new());
-        // Bounded channel: backpressure keeps the reorder buffer (and
-        // the observation buffers in flight) proportional to the thread
-        // count even when one batch folds slowly (e.g. a checkpoint
-        // snapshot).
-        let (sender, receiver) = mpsc::sync_channel::<BatchOutcome>(threads * 2);
-        let perf_enabled = context.perf.is_enabled();
-        let mut result = Ok(());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let sender = sender.clone();
-                    let next_batch = &next_batch;
-                    let stop = &stop;
-                    let heartbeats = &heartbeats;
-                    let fatal = &fatal;
-                    let spare = &spare;
-                    scope.spawn(move || {
-                        let worker_perf = if perf_enabled {
-                            PerfRecorder::enabled()
-                        } else {
-                            PerfRecorder::disabled()
-                        };
-                        let mut sim =
-                            Simulator::with_evaluator(self.netlist, self.config.evaluator);
-                        while !stop.load(Ordering::Acquire) {
-                            let batch = next_batch.fetch_add(1, Ordering::Relaxed);
-                            if batch >= context.batches {
-                                break;
-                            }
-                            let observations =
-                                lock(spare).pop().unwrap_or_else(|| self.observations());
-                            heartbeats.start(worker, batch);
-                            let attempt = run_batch_supervised(
-                                self,
-                                &mut sim,
-                                batch,
-                                &worker_perf,
-                                observations,
-                            );
-                            heartbeats.idle(worker);
-                            match attempt {
-                                // A closed channel means the coordinator
-                                // stopped (early stop, interrupt or error).
-                                Ok(outcome) => {
-                                    if sender.send(outcome).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(error) => {
-                                    lock(fatal).get_or_insert(error);
-                                    stop.store(true, Ordering::Release);
-                                    break;
-                                }
-                            }
-                        }
-                        worker_perf
-                    })
-                })
-                .collect();
-            drop(sender);
-            // Reorder buffer: outcomes arrive in completion order and
-            // are folded in batch order. A disconnect means every
-            // worker exited — with all batches claimed and sent, that
-            // only happens once the frontier has caught up (or the
-            // pool stopped on a fatal fault, picked up below).
-            let mut pending: BTreeMap<u64, BatchOutcome> = BTreeMap::new();
-            let mut flagged_stall = vec![false; threads];
-            'fold: while state.batches_done < context.batches {
-                let outcome = match receiver.recv_timeout(Duration::from_millis(WATCHDOG_TICK_MS)) {
-                    Ok(outcome) => outcome,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Watchdog tick: advisory stall flags (once
-                        // per worker) and the fatal-verdict check.
-                        for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
-                            if !flagged_stall[worker] {
-                                flagged_stall[worker] = true;
-                                faults.mark("worker", &format!("worker {worker}: {fault}"));
-                            }
-                        }
-                        if lock(&fatal).is_some() {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                };
-                pending.insert(outcome.batch, outcome);
-                while let Some(outcome) = pending.remove(&state.batches_done) {
-                    let stop = self.fold_batch(context, state, &outcome);
-                    lock(&spare).push(outcome.observations);
-                    if stop {
-                        break 'fold;
-                    }
-                }
-            }
-            // Shut down: flag first, then close the channel so workers
-            // blocked in `send` observe the disconnect and exit.
-            stop.store(true, Ordering::Release);
-            drop(receiver);
-            for handle in handles {
-                match handle.join() {
-                    Ok(worker_perf) => context.perf.absorb(&worker_perf),
-                    // Unreachable: every batch attempt runs inside the
-                    // supervisor's panic boundary.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            if let Some(error) = lock(&fatal).take() {
-                result = Err(error);
-            }
-        });
-        result
+        let lost = board.lost;
+        drop(board);
+        assert!(!lost, "a stripe thread panicked");
     }
 }
 
-/// Locks `mutex`, recovering the data from a poisoned lock: every
-/// critical section here is a single push, pop or insert, which cannot
-/// leave the data half-updated.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
+/// Reports a stripe's phase as finished when dropped — also when the
+/// phase unwinds, so the driver never waits for a dead stripe.
+struct Report<'c>(&'c Crew);
+
+impl Drop for Report<'_> {
+    fn drop(&mut self) {
+        let mut board = lock(&self.0.board);
+        board.running -= 1;
+        board.lost |= std::thread::panicking();
+        self.0.finished.notify_one();
+    }
+}
+
+/// Dismisses the crew when dropped: every stripe thread returns.
+struct Dismiss<'c>(&'c Crew);
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        let mut board = lock(&self.0.board);
+        board.phase = None;
+        board.round += 1;
+        self.0.posted.notify_all();
+    }
+}
+
+/// Locks `mutex`, recovering the data from a poisoned lock: a panic
+/// while a stripe or the crew board is locked is propagated by the
+/// driver anyway, and every board update is a single field write.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks a chunk slot. Its writer only ever panics inside the
+/// supervised batch, which catches the panic before the guard drops, so
+/// a poisoned slot holds a batch that was rewritten whole.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -821,6 +1135,30 @@ mod tests {
         let q = builder.register(secret);
         let out = builder.buf(q);
         builder.output("out", out);
+        builder.build().expect("valid")
+    }
+
+    /// Four secret bits, each recombined into a leaking register next
+    /// to a clean register of one share: twelve probing sets, so three
+    /// stripes each own leaking and clean ones.
+    fn leaky_bits() -> Netlist {
+        let mut builder = NetlistBuilder::new("leaky-bits");
+        for bit in 0..4u8 {
+            let role = |share| SignalRole::Share {
+                secret: SecretId(0),
+                share,
+                bit,
+            };
+            let share0 = builder.input(format!("s0_{bit}"), role(0));
+            let share1 = builder.input(format!("s1_{bit}"), role(1));
+            let clean = builder.register(share0);
+            let clean = builder.buf(clean);
+            builder.output(format!("clean{bit}"), clean);
+            let secret = builder.xor2(share0, share1);
+            let leaky = builder.register(secret);
+            let leaky = builder.buf(leaky);
+            builder.output(format!("out{bit}"), leaky);
+        }
         builder.build().expect("valid")
     }
 
@@ -915,6 +1253,52 @@ mod tests {
             events.last(),
             Some(Event::CampaignFinished { passed: false, .. })
         ));
+    }
+
+    #[test]
+    fn checkpoint_events_come_in_table_order_at_every_thread_count() {
+        use mmaes_telemetry::{Checkpoint, MemorySink};
+        let netlist = leaky_bits();
+        // The flagged labels, checkpoint probe lists and health verdicts
+        // the driver emits, with the wall-clock fields zeroed.
+        let ordered_events = |threads: usize| {
+            let sink = MemorySink::new();
+            let collected = sink.events();
+            FixedVsRandom::new(
+                &netlist,
+                EvaluationConfig {
+                    threads,
+                    checkpoints: 4,
+                    ..config(20_000)
+                },
+            )
+            .with_observer(Observer::single(sink))
+            .try_run()
+            .expect("campaign");
+            let events = collected.lock().unwrap();
+            events
+                .iter()
+                .filter_map(|event| match event {
+                    Event::ProbeFlagged { .. } | Event::Health(_) => Some(event.clone()),
+                    Event::CampaignCheckpoint(checkpoint) => {
+                        Some(Event::CampaignCheckpoint(Checkpoint {
+                            elapsed_ms: 0,
+                            traces_per_sec: 0.0,
+                            ..checkpoint.clone()
+                        }))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<Event>>()
+        };
+        let single = ordered_events(1);
+        let count = |name: &str| single.iter().filter(|event| event.kind() == name).count();
+        assert_eq!(count("probe_flagged"), 8, "{single:?}");
+        assert_eq!(count("checkpoint"), 4, "{single:?}");
+        assert_eq!(count("health"), 4, "{single:?}");
+        for threads in [2, 3] {
+            assert_eq!(ordered_events(threads), single, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1033,11 +1417,11 @@ mod tests {
     #[test]
     fn sharded_overflow_tables_match_single_threaded() {
         // The nastiest determinism case: with a tiny table cap, *which*
-        // keys claim the last slots depends on insertion order. One
-        // ordered fold of lane observations — each batch's keys sorted
-        // inside `Table::absorb`, batches folded in batch order by
-        // either driver — makes that order a function of the batch
-        // sequence alone.
+        // keys claim the last slots depends on insertion order. Each
+        // batch's keys are sorted inside `Table::absorb`, and every
+        // table absorbs batches in batch order on whichever stripe owns
+        // it, which makes that order a function of the batch sequence
+        // alone.
         let netlist = blatantly_leaky();
         let base = EvaluationConfig {
             traces: 20_000,

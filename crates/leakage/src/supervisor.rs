@@ -1,19 +1,21 @@
 //! Worker supervision for campaign batches (DESIGN.md § Fault
 //! containment).
 //!
-//! A multi-hour campaign must not lose its statistics to one worker
+//! A multi-hour campaign must not lose its statistics to one stripe
 //! thread dying mid-batch. This module wraps batch execution in a
 //! panic boundary with a typed [`WorkerFault`] taxonomy, sets the
 //! bounded backoff between retries of a faulted batch, and tracks
-//! per-worker heartbeats so the coordinator can flag a stalled worker.
+//! per-stripe heartbeats so the engine's driver can flag a stalled
+//! stripe while it waits for the stripes at the barrier.
 //!
 //! Crucially, none of this can perturb the report: every batch's
 //! randomness is a pure function of `(seed, batch)` (see
 //! [`crate::campaign`]), so a retried batch reproduces the exact
 //! outcome the faulted attempt would have produced, and a panicked
-//! attempt never delivers an outcome at all — the coordinator's
-//! batch-order folding sees each batch exactly once. Reports therefore
-//! stay byte-identical across thread counts *and* injected faults.
+//! attempt never reaches a table at all — no stripe absorbs a batch
+//! until its packing has succeeded, so each table sees each batch
+//! exactly once. Reports therefore stay byte-identical across thread
+//! counts *and* injected faults.
 //! Stall detection is the one wall-clock-based diagnostic here, which
 //! is why it is advisory only: it is marked degraded on the campaign's
 //! [`Faults`] handle, never in the report.
@@ -114,13 +116,13 @@ pub fn backoff_ms(attempt: u32) -> u64 {
     1u64 << (attempt.saturating_sub(1)).min(6)
 }
 
-/// Sentinel heartbeat value: the worker is idle (between batches).
+/// Sentinel heartbeat value: the stripe is idle (not packing).
 const IDLE: u64 = u64::MAX;
 
-/// Per-worker heartbeats for the coordinator's stall watchdog. A worker
-/// stamps the batch start time (milliseconds since the pool's epoch);
-/// the coordinator flags workers whose in-flight batch is older than
-/// the threshold. Wall-clock-based and therefore advisory only.
+/// Per-stripe heartbeats for the driver's stall watchdog. A stripe
+/// stamps the batch start time (milliseconds since the run's epoch);
+/// the driver flags stripes whose in-flight batch is older than the
+/// threshold. Wall-clock-based and therefore advisory only.
 #[derive(Debug)]
 pub struct Heartbeats {
     epoch: Instant,

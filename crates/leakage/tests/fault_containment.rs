@@ -89,20 +89,56 @@ fn worker_panics_leave_the_report_byte_identical_at_every_thread_count() {
 
 #[test]
 fn exhausted_retry_budget_is_a_typed_worker_error() {
-    for threads in [1usize, 2] {
-        let faults = faults("worker=panic@3x*");
-        match run_eq6(threads, None, &faults) {
-            Err(CampaignError::Worker {
-                batch,
-                attempts,
-                message,
-            }) => {
-                assert_eq!(batch, 3);
-                assert_eq!(attempts, 4, "the full retry budget must be spent");
-                assert!(message.contains("injected panic"), "{message}");
+    // A finite schedule of exactly the retry budget must mean the same
+    // on every thread count: one stripe spends all four fires.
+    for spec in ["worker=panic@3x*", "worker=panic@3x4"] {
+        for threads in [1usize, 2, 3] {
+            let faults = faults(spec);
+            match run_eq6(threads, None, &faults) {
+                Err(CampaignError::Worker {
+                    batch,
+                    attempts,
+                    message,
+                }) => {
+                    assert_eq!(batch, 3);
+                    assert_eq!(attempts, 4, "the full retry budget must be spent");
+                    assert!(message.contains("injected panic"), "{message}");
+                }
+                other => panic!("{spec} threads={threads}: expected a Worker error, got {other:?}"),
             }
-            other => panic!("threads={threads}: expected a Worker error, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn a_fatal_fault_leaves_one_contiguous_frontier_at_every_thread_count() {
+    // Batch 3 fails for good on one stripe while the others pack it, so
+    // no table may absorb it: the emergency snapshot holds batches 0..3
+    // for every table, byte for byte what one thread leaves behind.
+    let emergency = |threads: usize| {
+        let path = temp_path(&format!("frontier-{threads}.snapshot"));
+        let _ = std::fs::remove_file(&path);
+        let faults = faults("worker=panic@3x*");
+        match run_eq6(threads, Some(&path), &faults) {
+            Err(CampaignError::Worker {
+                batch: 3,
+                attempts: 4,
+                ..
+            }) => {}
+            other => panic!("threads={threads}: expected a Worker error at batch 3, got {other:?}"),
+        }
+        let saved = snapshot::load(&path).expect("the emergency snapshot must land");
+        assert_eq!(saved.batches_done, 3, "threads={threads}");
+        let bytes = std::fs::read(&path).expect("read the emergency snapshot");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let single = emergency(1);
+    for threads in [2usize, 3] {
+        assert!(
+            emergency(threads) == single,
+            "threads={threads}: the emergency snapshot differs from one thread's"
+        );
     }
 }
 

@@ -234,39 +234,6 @@ impl PerfRecorder {
         }
     }
 
-    /// Merges another recorder's accumulated phases and counters into
-    /// this one: counts, totals and histogram buckets add; min/max
-    /// combine. Used by parallel campaigns to fold each worker thread's
-    /// private recorder into the coordinator's — per-phase totals then
-    /// sum *CPU* time across threads, so they can exceed wall time.
-    ///
-    /// A disabled recorder on either side makes this a no-op.
-    pub fn absorb(&self, other: &PerfRecorder) {
-        let (Some(inner), Some(other_inner)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        let mut phases = inner.phases.lock().unwrap();
-        for (&name, accum) in other_inner.phases.lock().unwrap().iter() {
-            let merged = phases.entry(name).or_default();
-            if merged.count == 0 || (accum.count > 0 && accum.min_ns < merged.min_ns) {
-                merged.min_ns = accum.min_ns;
-            }
-            if accum.max_ns > merged.max_ns {
-                merged.max_ns = accum.max_ns;
-            }
-            merged.count += accum.count;
-            merged.total_ns += accum.total_ns;
-            for (bucket, count) in merged.buckets.iter_mut().zip(accum.buckets) {
-                *bucket += count;
-            }
-        }
-        drop(phases);
-        let mut counters = inner.counters.lock().unwrap();
-        for (&name, &value) in other_inner.counters.lock().unwrap().iter() {
-            *counters.entry(name).or_insert(0) += value;
-        }
-    }
-
     /// Freezes the current state, or `None` on a disabled recorder.
     pub fn snapshot(&self) -> Option<PerfSnapshot> {
         let inner = self.inner.as_ref()?;
@@ -418,34 +385,6 @@ mod tests {
         let snapshot = recorder.snapshot().expect("enabled");
         assert_eq!(snapshot.phase("shared").expect("shared").count, 1);
         assert_eq!(snapshot.counter("traces"), Some(64));
-    }
-
-    #[test]
-    fn absorb_merges_phases_and_counters_across_recorders() {
-        let main = PerfRecorder::enabled();
-        record(&main, "simulate", Duration::from_micros(10));
-        main.add("traces", 64);
-        let worker = PerfRecorder::enabled();
-        record(&worker, "simulate", Duration::from_micros(2));
-        record(&worker, "tabulate", Duration::from_micros(5));
-        worker.add("traces", 128);
-        main.absorb(&worker);
-        let snapshot = main.snapshot().expect("enabled");
-        let simulate = snapshot.phase("simulate").expect("merged");
-        assert_eq!(simulate.count, 2);
-        assert_eq!(simulate.min_ns, 2_000);
-        assert_eq!(simulate.max_ns, 10_000);
-        assert_eq!(simulate.total_ns, 12_000);
-        assert_eq!(simulate.buckets.iter().sum::<u64>(), 2);
-        assert_eq!(snapshot.phase("tabulate").expect("new phase").count, 1);
-        assert_eq!(snapshot.counter("traces"), Some(192));
-        // Disabled on either side: a no-op, not a panic.
-        PerfRecorder::disabled().absorb(&main);
-        main.absorb(&PerfRecorder::disabled());
-        assert_eq!(
-            main.snapshot().expect("still enabled").counter("traces"),
-            Some(192)
-        );
     }
 
     #[test]
